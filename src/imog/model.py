@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .diagnostics import SourceSpan
@@ -215,6 +217,46 @@ class RequirementBody:
 SpanKey = Union[str, int]  # element id, or index into Model.relations
 
 
+class ModelIndex:
+    """Lookup tables over one model's relations and requirement bodies.
+
+    Every list keeps declaration order; relation lists hold
+    (index into Model.relations, relation) pairs. Built in
+    O(relations + bodies); readers must not mutate it.
+    """
+
+    def __init__(self, model: Model) -> None:
+        self.by_source: dict[str, list[tuple[int, Relation]]] = {}
+        self.by_target: dict[str, list[tuple[int, Relation]]] = {}
+        self.bodies_by_target: dict[str, list[RequirementBody]] = {}
+        # sources of `contains` edges per contained id, dangling ones dropped
+        self.parents: dict[str, list[str]] = {}
+        # effective-requirement lists, filled lazily by imog.trace; ids in
+        # path_independent have lists that are valid inside any walk. A
+        # list is stored only when complete and before its id joins that
+        # set, so concurrent analyses of one model at worst repeat work.
+        self.effective: dict[str, list] = {}
+        self.path_independent: set[str] = set()
+        for i, rel in enumerate(model.relations):
+            self.by_source.setdefault(rel.source, []).append((i, rel))
+            for target in dict.fromkeys(rel.targets):  # once per relation
+                self.by_target.setdefault(target, []).append((i, rel))
+            if (
+                rel.kind is RelationKind.CONTAINS
+                and rel.targets
+                and rel.source in model.elements
+            ):
+                self.parents.setdefault(rel.targets[0], []).append(rel.source)
+        for body in model.requirement_bodies:
+            self.bodies_by_target.setdefault(body.target, []).append(body)
+
+    def outgoing(self, element_id: str, *kinds: RelationKind) -> list[Relation]:
+        """Relations with the id as source and one of the kinds."""
+        return [
+            rel for _, rel in self.by_source.get(element_id, ()) if rel.kind in kinds
+        ]
+
+
 @dataclass(frozen=True)
 class Model:
     name: str
@@ -222,6 +264,29 @@ class Model:
     relations: tuple[Relation, ...] = ()
     requirement_bodies: tuple[RequirementBody, ...] = ()
     spans: Mapping[SpanKey, SourceSpan] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # read-only copies: the cached index must never go stale
+        object.__setattr__(self, "elements", MappingProxyType(dict(self.elements)))
+        object.__setattr__(self, "spans", MappingProxyType(dict(self.spans)))
+
+    def __reduce__(self):
+        # mapping proxies cannot be pickled or deep-copied; the index is
+        # rebuilt on first use
+        return (
+            Model,
+            (
+                self.name,
+                dict(self.elements),
+                self.relations,
+                self.requirement_bodies,
+                dict(self.spans),
+            ),
+        )
+
+    @cached_property
+    def index(self) -> ModelIndex:
+        return ModelIndex(self)
 
     def lookup(self, element_id: str) -> Element | None:
         return self.elements.get(element_id)
@@ -232,13 +297,14 @@ class Model:
         """All relations touching the id, in declaration order."""
         if element_id not in self.elements:
             raise UnknownElementError(element_id)
-        out = []
-        for rel in self.relations:
-            if kind is not None and rel.kind is not kind:
-                continue
-            if rel.source == element_id or element_id in rel.targets:
-                out.append(rel)
-        return out
+        index = self.index
+        touching = dict(index.by_source.get(element_id, ()))
+        touching.update(index.by_target.get(element_id, ()))
+        return [
+            touching[i]
+            for i in sorted(touching)
+            if kind is None or touching[i].kind is kind
+        ]
 
     def elements_of_kind(self, *kinds: ElementKind) -> list[Element]:
         wanted = set(kinds)
@@ -251,12 +317,6 @@ class Model:
 
     def span_of(self, key: SpanKey) -> SourceSpan | None:
         return self.spans.get(key)
-
-    def relation_index(self, rel: Relation) -> int | None:
-        for i, r in enumerate(self.relations):
-            if r is rel:
-                return i
-        return None
 
 
 def structurally_equal(a: Model, b: Model) -> bool:

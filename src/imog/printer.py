@@ -148,18 +148,13 @@ class _Printer:
         self.emit(2, "}")
 
     def _body_relations(self, parent: str) -> list[Relation]:
-        out = []
-        for rel in self.model.relations:
-            if rel.source != parent:
-                continue
-            if rel.kind in (
-                RelationKind.MANDATORY,
-                RelationKind.OPTIONAL,
-                RelationKind.OR_GROUP,
-                RelationKind.REFINES_GOAL,
-            ):
-                out.append(rel)
-        return out
+        return self.model.index.outgoing(
+            parent,
+            RelationKind.MANDATORY,
+            RelationKind.OPTIONAL,
+            RelationKind.OR_GROUP,
+            RelationKind.REFINES_GOAL,
+        )
 
     def _frel(self, rel: Relation) -> None:
         if rel.kind is RelationKind.OR_GROUP:
@@ -184,10 +179,8 @@ class _Printer:
         self.emit(3, f"{rel.kind.value} {rel.targets[0]}")
 
     def _alternative_of(self, vp_id: str) -> Relation | None:
-        for rel in self.model.relations:
-            if rel.kind is RelationKind.ALTERNATIVE and rel.source == vp_id:
-                return rel
-        return None
+        alternatives = self.model.index.outgoing(vp_id, RelationKind.ALTERNATIVE)
+        return alternatives[0] if alternatives else None
 
     def _quality(self) -> None:
         bodies = self.model.requirement_bodies
@@ -256,12 +249,9 @@ class _Printer:
         head = f"block {block.id} {quote(block.name)}"
         if block.level is not None:
             head += f" level {block.level.value}"
-        attached = [
-            r
-            for r in self.model.relations
-            if r.source == block.id
-            and r.kind in (RelationKind.REFERENCES, RelationKind.KB_REF)
-        ]
+        attached = self.model.index.outgoing(
+            block.id, RelationKind.REFERENCES, RelationKind.KB_REF
+        )
         if not attached:
             self._props_block(2, block.properties, head)
             return

@@ -18,6 +18,7 @@ from .errors import UnknownElementError
 from .model import (
     ElementKind,
     Model,
+    ModelIndex,
     RelationKind,
     RequirementBody,
     TREE_KINDS,
@@ -114,37 +115,88 @@ def effective_requirements(
     """Direct, allocated, and (optionally) containment-inherited requirements.
 
     Order is deterministic: direct bodies in declaration order, then one
-    batch per allocation edge in edge order, then the ancestors' own
-    effective lists, nearest ancestor first.
+    batch per allocation edge in edge order, then each containing block's
+    own effective list in `contains`-edge order, tagged as inherited via
+    that immediate parent. A parent already on the walk's path is
+    skipped, so containment cycles end.
+
+    Cost: the model index is built once in O(relations + bodies); the
+    inherited lists are built once per model from the parents' lists, in
+    O(total effective entries), at most blocks x containment depth. That
+    is the size of the output the conflict check has to read.
     """
     if block not in model.elements:
         raise UnknownElementError(block)
-    return _effective(model, block, include_inherited, frozenset())
+    if not include_inherited:
+        return _own(model.index, block)
+    return list(_effective(model, block))
 
 
-def _effective(
-    model: Model, block: str, include_inherited: bool, seen: frozenset[str]
-) -> list[tuple[RequirementBody, Origin]]:
-    out: list[tuple[RequirementBody, Origin]] = []
-    for body in model.requirement_bodies:
-        if body.target == block:
-            out.append((body, Origin("direct")))
-    for rel in model.relations:
+_DIRECT = Origin("direct")
+
+
+def _own(index: ModelIndex, block: str) -> list[tuple[RequirementBody, Origin]]:
+    """Direct bodies, then one batch per allocation edge into the block."""
+    out = [(body, _DIRECT) for body in index.bodies_by_target.get(block, ())]
+    for _, rel in index.by_target.get(block, ()):
         if rel.kind is RelationKind.ALLOCATE and rel.targets[0] == block:
-            feature = rel.source
-            for body in model.requirement_bodies:
-                if body.target == feature:
-                    out.append((body, Origin("allocation", via=feature)))
-    if include_inherited:
-        seen = seen | {block}
-        for rel in model.relations:
-            if rel.kind is RelationKind.CONTAINS and rel.targets[0] == block:
-                parent = rel.source
-                if parent in seen or parent not in model.elements:
-                    continue
-                for body, _origin in _effective(model, parent, True, seen):
-                    out.append((body, Origin("inherited", via=parent)))
+            origin = Origin("allocation", via=rel.source)
+            out.extend(
+                (body, origin) for body in index.bodies_by_target.get(rel.source, ())
+            )
     return out
+
+
+def _effective(model: Model, block: str) -> list[tuple[RequirementBody, Origin]]:
+    """The shared, cached effective list of one element; do not mutate.
+
+    An explicit stack replaces recursion: a frame is [id, its unvisited
+    parents, its list so far, whether its walk is path-independent]. A
+    walk that skips a parent for being on the path depends on that path,
+    so its list is kept only as the answer to its own top-level query;
+    every other list is reused wherever its block is reached again.
+    """
+    index = model.index
+    table, reusable = index.effective, index.path_independent
+    if block in table:
+        return table[block]
+
+    def frame(node: str) -> list:
+        return [node, iter(index.parents.get(node, ())), _own(index, node), True]
+
+    on_path = {block}
+    stack = [frame(block)]
+    while True:
+        top = stack[-1]
+        for parent in top[1]:
+            if parent in on_path:
+                top[3] = False
+            elif parent in reusable:
+                _inherit(top[2], parent, table[parent])
+            else:
+                on_path.add(parent)
+                stack.append(frame(parent))
+                break
+        else:
+            node, _, out, independent = stack.pop()
+            on_path.remove(node)
+            if independent or not stack:
+                table[node] = out
+            if independent:
+                reusable.add(node)
+            if not stack:
+                return out
+            _inherit(stack[-1][2], node, out)
+            stack[-1][3] &= independent
+
+
+def _inherit(
+    out: list[tuple[RequirementBody, Origin]],
+    parent: str,
+    entries: list[tuple[RequirementBody, Origin]],
+) -> None:
+    origin = Origin("inherited", via=parent)
+    out.extend((body, origin) for body, _ in entries)
 
 
 def find_conflicts(model: Model) -> list[ConflictGroup]:
@@ -152,6 +204,9 @@ def find_conflicts(model: Model) -> list[ConflictGroup]:
 
     Requirements without a checkable attribute triple are skipped
     (already flagged W-204); different units are never compared.
+
+    Cost: the effective lists of `effective_requirements`, built once per
+    model in O(total effective entries), plus one pass over them.
     """
     groups: list[ConflictGroup] = []
     for block in model.elements.values():
@@ -282,14 +337,17 @@ def impact(model: Model, element_id: str) -> set[str]:
 
 
 def coverage_report(model: Model) -> TraceReport:
+    """Allocation, requirement, conflict and goal coverage of the model.
+
+    Reads the model index (O(relations + bodies), built once) and the
+    shared effective lists, so the cost is that of `find_conflicts`.
+    """
+    index = model.index
     unallocated = sorted(
         e.id
         for e in model.elements.values()
         if e.kind in (ElementKind.FEATURE, ElementKind.FUNCTION)
-        and not any(
-            rel.kind is RelationKind.ALLOCATE and rel.source == e.id
-            for rel in model.relations
-        )
+        and not index.outgoing(e.id, RelationKind.ALLOCATE)
     )
     unconstrained = sorted(
         e.id
@@ -303,7 +361,7 @@ def coverage_report(model: Model) -> TraceReport:
     ):
         refiners = sorted(
             rel.source
-            for rel in model.relations
+            for _, rel in index.by_target.get(goal, ())
             if rel.kind is RelationKind.REFINES_GOAL and rel.targets[0] == goal
         )
         goal_coverage[goal] = tuple(refiners)

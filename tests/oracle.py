@@ -4,7 +4,9 @@ The configuration oracle enumerates every subset of the feature-tree
 nodes as a bitmask and applies the semantic rules literally; it shares
 no code with the package's pruned backtracking search. The conflict
 oracle intersects requirement intervals pairwise (for intervals, an
-empty joint intersection always shows up in some pair).
+empty joint intersection always shows up in some pair). The reference
+effective-requirements walk is the original recursive definition, kept
+literally for differential tests of the iterative, memoized one.
 """
 
 from __future__ import annotations
@@ -200,3 +202,78 @@ def conflict_keys(model: Model) -> set[tuple[str, str, str | None]]:
             ):
                 keys.add((element.id, a.attribute, a.unit))
     return keys
+
+
+# --- reference effective-requirements walk -------------------------------------
+
+
+def effective_reference(
+    model: Model, block: str, include_inherited: bool = True
+) -> list[tuple]:
+    """(body, origin kind, via) triples, by the recursive definition.
+
+    Recursion depth is the containment depth: small models only.
+    """
+    return _effective_walk(model, block, include_inherited, frozenset())
+
+
+def _effective_walk(
+    model: Model, block: str, include_inherited: bool, seen: frozenset[str]
+) -> list[tuple]:
+    out: list[tuple] = []
+    for body in model.requirement_bodies:
+        if body.target == block:
+            out.append((body, "direct", None))
+    for rel in model.relations:
+        if rel.kind is RelationKind.ALLOCATE and rel.targets[0] == block:
+            feature = rel.source
+            for body in model.requirement_bodies:
+                if body.target == feature:
+                    out.append((body, "allocation", feature))
+    if include_inherited:
+        seen = seen | {block}
+        for rel in model.relations:
+            if rel.kind is RelationKind.CONTAINS and rel.targets[0] == block:
+                parent = rel.source
+                if parent in seen or parent not in model.elements:
+                    continue
+                for body, _kind, _via in _effective_walk(model, parent, True, seen):
+                    out.append((body, "inherited", parent))
+    return out
+
+
+def conflicts_reference(model: Model) -> list[tuple]:
+    """(block, attribute, unit, ((owner, kind, via), ...)) per empty group.
+
+    Same grouping and order as the package: blocks in declaration order,
+    buckets by (attribute, unit), entries in effective order. Emptiness
+    is decided pairwise.
+    """
+    groups = []
+    for element in model.elements.values():
+        if element.kind is not ElementKind.BLOCK:
+            continue
+        buckets: dict[tuple, list] = {}
+        for body, kind, via in effective_reference(model, element.id):
+            if body.machine_checkable:
+                buckets.setdefault((body.attribute, body.unit), []).append(
+                    (body, kind, via)
+                )
+        for (attribute, unit), entries in sorted(
+            buckets.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
+        ):
+            if any(
+                _disjoint(
+                    _interval(a.comparator, a.bound), _interval(b.comparator, b.bound)
+                )
+                for (a, _, _), (b, _, _) in combinations(entries, 2)
+            ):
+                groups.append(
+                    (
+                        element.id,
+                        attribute,
+                        unit,
+                        tuple((body.owner, kind, via) for body, kind, via in entries),
+                    )
+                )
+    return groups

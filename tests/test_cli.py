@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import imog
 from conftest import FIXTURES
 from imog.cli import run
 
@@ -17,7 +20,6 @@ CONFLICT = str(FIXTURES / "conflict.imog")
 def invoke(*argv, env=None):
     out, err = io.StringIO(), io.StringIO()
     if env:
-        import os
 
         saved = {k: os.environ.get(k) for k in env}
         os.environ.update(env)
@@ -219,10 +221,17 @@ def test_parse_error_exits_one():
 
 
 def test_entry_point_subprocess():
+    # the child imports imog from where this process did
+    package_root = str(Path(imog.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
     proc = subprocess.run(
         [sys.executable, "-m", "imog.cli", "check", ESCOOTER],
         capture_output=True,
         text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": package_root + (os.pathsep + path if path else ""),
+        },
     )
     assert proc.returncode == 0
     assert "0 error(s)" in proc.stdout

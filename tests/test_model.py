@@ -2,25 +2,32 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
 import imog
+from conftest import parse_fixture
 from genmodels import full_model_text
 from imog.errors import UnknownElementError
 from imog.model import (
     ROADMAP_DOCUMENT,
     AbstractionLevel,
+    Element,
     ElementKind,
     IN_HOUSE_ROLES,
     KIND_PERSPECTIVE,
+    Model,
     Perspective,
     ProcessStep,
+    Relation,
     RelationKind,
     Role,
     Space,
     step_info,
+    structurally_equal,
 )
 
 
@@ -117,6 +124,62 @@ def test_relations_of_complete_on_generated_models():
             if any(e in model.elements for e in r.endpoints())
         ]
         assert len(covered) == len(reachable)
+
+
+def _scan(model, element_id, kind=None):
+    return [
+        r
+        for r in model.relations
+        if (kind is None or r.kind is kind)
+        and (r.source == element_id or element_id in r.targets)
+    ]
+
+
+def test_relations_of_matches_linear_scan_on_generated_models():
+    rng = random.Random(4321)
+    for i in range(20):
+        model = imog.parse(full_model_text(rng), f"gen{i}").model
+        for element_id in model.elements:
+            assert model.relations_of(element_id) == _scan(model, element_id)
+            for kind in (RelationKind.CONTAINS, RelationKind.ALLOCATE):
+                got = model.relations_of(element_id, kind)
+                assert got == _scan(model, element_id, kind)
+
+
+def test_relations_of_lists_self_and_repeated_targets_once():
+    loop = Relation(RelationKind.CONTAINS, "B", ("B",))
+    twice = Relation(RelationKind.OR_GROUP, "F", ("B", "B"))
+    model = Model(
+        "M",
+        {i: Element(i, ElementKind.BLOCK, i) for i in ("B", "F")},
+        (loop, twice, loop),
+    )
+    assert model.relations_of("B") == [loop, twice, loop]
+    assert model.relations_of("F") == [twice]
+
+
+def test_model_mappings_are_read_only(escooter):
+    with pytest.raises(TypeError):
+        escooter.elements["X"] = escooter.elements["F_root"]
+    with pytest.raises(TypeError):
+        escooter.spans["F_root"] = escooter.spans[0]
+    again = parse_fixture("escooter.imog").model
+    assert again == escooter
+    assert structurally_equal(again, escooter)
+    escooter.relations_of("F_root")  # builds the cached index
+    for copied in (pickle.loads(pickle.dumps(escooter)), copy.deepcopy(escooter)):
+        assert copied == escooter
+        assert copied.spans == escooter.spans
+        assert copied.relations_of("F_root") == escooter.relations_of("F_root")
+
+
+def test_model_keeps_its_own_copy_of_the_mappings():
+    elements = {"B": Element("B", ElementKind.BLOCK, "b")}
+    model = Model("M", elements)
+    assert model.relations_of("B") == []
+    elements["C"] = Element("C", ElementKind.BLOCK, "c")
+    assert list(model.elements) == ["B"]
+    assert model == Model("M", {"B": Element("B", ElementKind.BLOCK, "b")})
 
 
 def test_step_info_solution_space_exploration():

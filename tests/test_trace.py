@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import random
+import sys
+import threading
 
 import networkx as nx
 import pytest
@@ -10,10 +13,10 @@ import pytest
 import imog
 from conftest import golden_text, parse_fixture
 from genmodels import full_model_text
-from imog import trace
+from imog import cli, trace
 from imog.errors import UnknownElementError
-from imog.model import Model, RelationKind, TREE_KINDS
-from oracle import conflict_keys
+from imog.model import Element, ElementKind, Model, RelationKind, TREE_KINDS
+from oracle import conflict_keys, conflicts_reference, effective_reference
 
 
 _COMPARATORS = ("<=", ">=", "==", "<", ">", "in")
@@ -289,3 +292,179 @@ def test_report_records_are_line_delimited_json(escooter):
     records = [json.loads(line) for line in text.splitlines()]
     kinds = {r["record"] for r in records}
     assert kinds == {"unallocated", "unconstrained", "goal"}
+
+
+# --- differential test of the iterative effective-requirements walk ----------
+
+
+def _random_block_graph(rng: random.Random) -> Model:
+    """Containment cycles, self-loops, diamonds, dangling parents and
+    repeated allocate edges, with requirements on blocks and features."""
+    blocks = [f"B{i}" for i in range(rng.randint(1, 7))]
+    features = [f"F{i}" for i in range(rng.randint(0, 3))]
+    elements = {b: Element(b, ElementKind.BLOCK, b) for b in blocks}
+    elements.update({f: Element(f, ElementKind.FEATURE, f) for f in features})
+    relations = [
+        imog.Relation(
+            RelationKind.CONTAINS,
+            rng.choice(blocks + ["B_ghost"]),
+            (rng.choice(blocks),),
+        )
+        for _ in range(rng.randint(0, 2 * len(blocks) + 2))
+    ]
+    if features:
+        relations += [
+            imog.Relation(
+                RelationKind.ALLOCATE, rng.choice(features), (rng.choice(blocks),)
+            )
+            for _ in range(rng.randint(0, 4))
+        ]
+    relations += rng.sample(relations, k=min(len(relations), rng.randint(0, 3)))
+    rng.shuffle(relations)
+    bodies = []
+    for k in range(rng.randint(0, 7)):
+        target = rng.choice(blocks + features + ["X_ghost"])
+        if rng.random() < 0.2:
+            bodies.append(imog.RequirementBody(f"R{k}", target))
+        else:
+            body = _random_body(rng, f"R{k}")
+            bodies.append(
+                imog.RequirementBody(
+                    body.owner,
+                    target,
+                    rng.choice(("w", "h")),
+                    body.comparator,
+                    body.bound,
+                    rng.choice(("kg", "g")),
+                )
+            )
+    return Model("G", elements, tuple(relations), tuple(bodies))
+
+
+def _keys(entries):
+    return [(body.owner, origin.kind, origin.via) for body, origin in entries]
+
+
+def _reference_keys(triples):
+    return [(body.owner, kind, via) for body, kind, via in triples]
+
+
+def test_effective_requirements_match_recursive_reference():
+    rng = random.Random(4242)
+    cyclic = self_loops = 0
+    for _ in range(1500):
+        model = _random_block_graph(rng)
+        contains = nx.DiGraph(
+            (r.source, r.targets[0])
+            for r in model.relations
+            if r.kind is RelationKind.CONTAINS
+        )
+        cyclic += not nx.is_directed_acyclic_graph(contains)
+        self_loops += nx.number_of_selfloops(contains) > 0
+        blocks = list(model.elements)
+        rng.shuffle(blocks)  # the shared table must not depend on query order
+        for block in blocks + blocks:
+            for inherited in (True, False):
+                got = trace.effective_requirements(
+                    model, block, include_inherited=inherited
+                )
+                want = effective_reference(model, block, inherited)
+                assert _keys(got) == _reference_keys(want), (model, block)
+                assert [b for b, _ in got] == [b for b, _, _ in want]
+    assert cyclic > 300 and self_loops > 100
+
+
+def test_find_conflicts_match_recursive_reference():
+    rng = random.Random(1729)
+    seen_conflicts = 0
+    for _ in range(1500):
+        model = _random_block_graph(rng)
+        got = [
+            (
+                g.block,
+                g.attribute,
+                g.unit,
+                tuple((owner, o.kind, o.via) for owner, o, _ in g.requirements),
+            )
+            for g in trace.find_conflicts(model)
+        ]
+        assert got == conflicts_reference(model), model
+        seen_conflicts += bool(got)
+    assert seen_conflicts > 100
+
+
+def test_shared_effective_table_under_concurrent_queries():
+    rng = random.Random(606)
+    models = [_random_block_graph(rng) for _ in range(40)]
+    want = [
+        {
+            block: _reference_keys(effective_reference(model, block))
+            for block in model.elements
+        }
+        for model in models
+    ]
+    mismatches: list = []
+
+    def worker(order_seed: int) -> None:
+        order = random.Random(order_seed)
+        for model, expected in zip(models, want):
+            blocks = list(model.elements)
+            order.shuffle(blocks)
+            for block in blocks:
+                if _keys(trace.effective_requirements(model, block)) != expected[block]:
+                    mismatches.append((model, block))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def _deep_chain_text(depth: int, leaf_first: bool) -> str:
+    """A containment chain B0 > B1 > ..., with a feature requirement
+    allocated to the root B0 contradicting the root's own."""
+    order = list(reversed(range(depth))) if leaf_first else list(range(depth))
+    blocks = [f'    block B{i} "b{i}" level system' for i in order]
+    edges = [f"    contains B{i} {{ B{i + 1} }}" for i in order if i < depth - 1]
+    return "\n".join(
+        [
+            'model "Deep" {',
+            '  functional { feature F "f" }',
+            "  quality {",
+            '    requirement R_light "l" on F attr weight <= 25 kg',
+            '    requirement R_sturdy "s" on B0 attr weight >= 30 kg',
+            "  }",
+            "  structural {",
+            *blocks,
+            *edges,
+            "    allocate F -> B0",
+            "  }",
+            "}",
+            "",
+        ]
+    )
+
+
+@pytest.mark.parametrize("leaf_first", [True, False], ids=["leaf_first", "root_first"])
+def test_deep_containment_chain_checks_without_recursion(tmp_path, leaf_first):
+    depth = 1500
+    path = tmp_path / "deep.imog"
+    path.write_text(_deep_chain_text(depth, leaf_first), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["check", str(path)], out, err) == 1
+    c301 = [line for line in err.getvalue().splitlines() if line.startswith("C-301 ")]
+    assert len(c301) == depth
+    model = imog.parse_file(path).model
+    leaf = trace.effective_requirements(model, f"B{depth - 1}")
+    assert _keys(leaf) == [
+        ("R_sturdy", "inherited", f"B{depth - 2}"),
+        ("R_light", "inherited", f"B{depth - 2}"),
+    ]
