@@ -2,7 +2,8 @@
 
 One linter-style command per analysis; diagnostics go to stderr, payload
 to stdout. Exit code 0 means no error-severity diagnostics, 1 means
-errors were found, 2 means the invocation itself failed (usage or IO).
+errors were found, 2 means the invocation itself failed (usage or IO)
+or imog hit an internal error, reported as one stderr line.
 """
 
 from __future__ import annotations
@@ -306,6 +307,10 @@ def run(
         return EXIT_USAGE
     except OSError as exc:
         err.write(f"imog: {exc}\n")
+        return EXIT_USAGE
+    except Exception as exc:  # a fault in imog itself: no traceback
+        message = " ".join(str(exc).split())
+        err.write(f"imog: internal error: {type(exc).__name__}: {message}\n")
         return EXIT_USAGE
 
 

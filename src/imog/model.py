@@ -75,11 +75,8 @@ class ElementKind(str, Enum):
     FUNCTION = "function"
     VARIATION_POINT = "variation_point"
     REQUIREMENT = "requirement"
-    CONSTRAINT = "constraint"
     BLOCK = "block"
     VARIANT = "variant"
-    CHANNEL = "channel"
-    EFFECT = "effect"
     KNOWLEDGE_ENTRY = "entry"
 
 
@@ -92,11 +89,8 @@ KIND_PERSPECTIVE: dict[ElementKind, Perspective] = {
     ElementKind.FUNCTION: Perspective.FUNCTIONAL,
     ElementKind.VARIATION_POINT: Perspective.FUNCTIONAL,
     ElementKind.REQUIREMENT: Perspective.QUALITY,
-    ElementKind.CONSTRAINT: Perspective.QUALITY,
     ElementKind.BLOCK: Perspective.STRUCTURAL,
     ElementKind.VARIANT: Perspective.STRUCTURAL,
-    ElementKind.CHANNEL: Perspective.STRUCTURAL,
-    ElementKind.EFFECT: Perspective.STRUCTURAL,
     ElementKind.KNOWLEDGE_ENTRY: Perspective.KNOWLEDGE,
 }
 
@@ -132,6 +126,79 @@ TREE_KINDS = frozenset(
 TREE_ELEMENT_KINDS = frozenset(
     {ElementKind.FEATURE, ElementKind.FUNCTION, ElementKind.VARIATION_POINT}
 )
+
+
+@dataclass(frozen=True)
+class FeatureForest:
+    """Shape of a model's feature tree, every sequence in declaration order.
+
+    The tree is well formed iff no child has two parents, cycle is None
+    and there is at most one root.
+    """
+
+    nodes: tuple[str, ...]
+    edges: tuple[tuple[str, str], ...]  # (parent, child)
+    parents: Mapping[str, tuple[str, ...]]  # per child, repeats kept
+    cycle: tuple[str, ...] | None  # first cycle found, closed: a, b, a
+    roots: tuple[str, ...]
+
+
+def feature_forest(model: Model) -> FeatureForest:
+    """Nodes, edges, parents, first cycle and roots of the feature tree.
+
+    Edges come from tree relations whose source and target are both
+    tree elements; others are left to resolve. The cycle search is a
+    depth-first walk with an explicit stack, over nodes in element
+    order and children in edge order. Cost: O(tree nodes + tree edges).
+    """
+    nodes = tuple(
+        e.id for e in model.elements.values() if e.kind in TREE_ELEMENT_KINDS
+    )
+    node_set = set(nodes)
+    edges: list[tuple[str, str]] = []
+    parents: dict[str, list[str]] = {}
+    children: dict[str, list[str]] = {}
+    for rel in model.relations:
+        if rel.kind not in TREE_KINDS or rel.source not in node_set:
+            continue
+        for child in rel.targets:
+            if child in node_set:
+                edges.append((rel.source, child))
+                parents.setdefault(child, []).append(rel.source)
+                children.setdefault(rel.source, []).append(child)
+    return FeatureForest(
+        nodes,
+        tuple(edges),
+        {child: tuple(ps) for child, ps in parents.items()},
+        _first_cycle(nodes, children),
+        tuple(n for n in nodes if n not in parents),
+    )
+
+
+def _first_cycle(
+    nodes: tuple[str, ...], children: dict[str, list[str]]
+) -> tuple[str, ...] | None:
+    on_path: dict[str, bool] = {}  # visited ids; False once finished
+    for start in nodes:
+        if start in on_path:
+            continue
+        path = [start]
+        on_path[start] = True
+        pending = [iter(children.get(start, ()))]  # one iterator per path node
+        while pending:
+            for child in pending[-1]:
+                if on_path.get(child):
+                    return (*path[path.index(child) :], child)
+                if child not in on_path:
+                    path.append(child)
+                    on_path[child] = True
+                    pending.append(iter(children.get(child, ())))
+                    break
+            else:
+                pending.pop()
+                on_path[path.pop()] = False
+    return None
+
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 

@@ -24,8 +24,6 @@ from .model import (
     RequirementBody,
 )
 
-DSL_VERSION = "imog-dsl v1"
-
 _SECTION_WORDS = ("strategy", "functional", "quality", "structural", "knowledge")
 
 _LEVELS = {
@@ -167,18 +165,19 @@ class _Parser:
     # --- grammar ---
 
     def parse(self) -> None:
-        try:
-            self._expect_word("model")
-            name_tok = self._expect(TokenKind.STRING, "model name string")
-            self.model_name = str(name_tok.value)
-            self._expect(TokenKind.LBRACE, "'{'")
-        except _Recover:
-            if self._peek().kind is not TokenKind.EOF:
-                self._advance()
-            self._sync(frozenset({"model"}))
-            if self._peek().kind is TokenKind.EOF:
-                return
-            return self.parse()
+        while True:  # retry the header at each later 'model' word
+            try:
+                self._expect_word("model")
+                name_tok = self._expect(TokenKind.STRING, "model name string")
+                self.model_name = str(name_tok.value)
+                self._expect(TokenKind.LBRACE, "'{'")
+                break
+            except _Recover:
+                if self._peek().kind is not TokenKind.EOF:
+                    self._advance()
+                self._sync(frozenset({"model"}))
+                if self._peek().kind is TokenKind.EOF:
+                    return
         sections = frozenset(_SECTION_WORDS)
         while True:
             tok = self._peek()

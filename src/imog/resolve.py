@@ -16,7 +16,7 @@ from .model import (
     Perspective,
     RelationKind,
     TREE_ELEMENT_KINDS,
-    TREE_KINDS,
+    feature_forest,
 )
 
 _FEATURE_FUNCTION = frozenset({ElementKind.FEATURE, ElementKind.FUNCTION})
@@ -47,23 +47,6 @@ ENDPOINT_RULES: dict[RelationKind, tuple[frozenset, frozenset]] = {
     RelationKind.EXCLUDES: (TREE_ELEMENT_KINDS, TREE_ELEMENT_KINDS),
 }
 
-_KIND_LABEL = {
-    RelationKind.MANDATORY: "mandatory",
-    RelationKind.OPTIONAL: "optional",
-    RelationKind.OR_GROUP: "orgroup",
-    RelationKind.ALTERNATIVE: "alternative",
-    RelationKind.REQUIRES: "requires",
-    RelationKind.EXCLUDES: "excludes",
-    RelationKind.REFERENCES: "references",
-    RelationKind.CONSTRAINS: "constrains",
-    RelationKind.ALLOCATE: "allocate",
-    RelationKind.EFFECT: "effect",
-    RelationKind.CHANNEL_LINK: "channel",
-    RelationKind.CONTAINS: "contains",
-    RelationKind.REFINES_GOAL: "refines_goal",
-    RelationKind.KB_REF: "kbref",
-}
-
 
 def _rel_span(model: Model, index: int) -> SourceSpan | None:
     return model.spans.get(index)
@@ -78,7 +61,7 @@ def resolve(model: Model) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for index, rel in enumerate(model.relations):
         span = _rel_span(model, index)
-        label = _KIND_LABEL[rel.kind]
+        label = rel.kind.value
         unresolved = False
         for endpoint in rel.endpoints():
             if endpoint in model.elements:
@@ -125,23 +108,6 @@ def resolve(model: Model) -> list[Diagnostic]:
     return sort_diagnostics(diags)
 
 
-def _tree_edges(model: Model) -> list[tuple[str, str, int]]:
-    """(parent, child, relation index) for tree edges between tree elements."""
-    edges = []
-    for index, rel in enumerate(model.relations):
-        if rel.kind not in TREE_KINDS:
-            continue
-        src = model.elements.get(rel.source)
-        if src is None or src.kind not in TREE_ELEMENT_KINDS:
-            continue
-        for target_id in rel.targets:
-            tgt = model.elements.get(target_id)
-            if tgt is None or tgt.kind not in TREE_ELEMENT_KINDS:
-                continue
-            edges.append((rel.source, target_id, index))
-    return edges
-
-
 def validate(model: Model, *, partial: bool = False) -> list[Diagnostic]:
     """Structure rules and modeling obligations over a resolved model.
 
@@ -161,82 +127,37 @@ def validate(model: Model, *, partial: bool = False) -> list[Diagnostic]:
 
 
 def _check_forest(model: Model, partial: bool) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    edges = _tree_edges(model)
-    nodes = [
-        e.id for e in model.elements.values() if e.kind in TREE_ELEMENT_KINDS
+    forest = feature_forest(model)
+    diags = [
+        make(
+            "R-201",
+            f"{child!r} has {len(ps)} parents in the feature tree",
+            [child, *sorted(set(ps))],
+            model.span_of(child),
+        )
+        for child, ps in forest.parents.items()
+        if len(ps) > 1
     ]
-    parents: dict[str, list[str]] = {}
-    children: dict[str, list[str]] = {}
-    for parent, child, _ in edges:
-        parents.setdefault(child, []).append(parent)
-        children.setdefault(parent, []).append(child)
-
-    for child, ps in parents.items():
-        if len(ps) > 1:
-            diags.append(
-                make(
-                    "R-201",
-                    f"{child!r} has {len(ps)} parents in the feature tree",
-                    [child, *sorted(set(ps))],
-                    model.span_of(child),
-                )
-            )
-
-    cycle = _find_cycle(nodes, children)
-    if cycle:
+    if forest.cycle:
         diags.append(
             make(
                 "R-201",
-                "feature tree contains a cycle: " + " -> ".join(cycle),
-                cycle,
-                model.span_of(cycle[0]),
+                "feature tree contains a cycle: " + " -> ".join(forest.cycle),
+                forest.cycle,
+                model.span_of(forest.cycle[0]),
             )
         )
-
-    if not partial:
-        roots = [n for n in nodes if n not in parents]
-        if len(roots) > 1:
-            diags.append(
-                make(
-                    "R-202",
-                    f"{len(roots)} root features (exactly one expected)",
-                    sorted(roots),
-                    model.span_of(sorted(roots)[1]),
-                )
+    if not partial and len(forest.roots) > 1:
+        roots = sorted(forest.roots)
+        diags.append(
+            make(
+                "R-202",
+                f"{len(roots)} root features (exactly one expected)",
+                roots,
+                model.span_of(roots[1]),
             )
+        )
     return diags
-
-
-def _find_cycle(
-    nodes: list[str], children: dict[str, list[str]]
-) -> list[str] | None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for child in children.get(node, ()):
-            if child not in color:
-                continue
-            if color[child] == GRAY:
-                return stack[stack.index(child) :] + [child]
-            if color[child] == WHITE:
-                found = visit(child)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for n in nodes:
-        if color[n] == WHITE:
-            found = visit(n)
-            if found:
-                return found
-    return None
 
 
 def _check_vp_under_orgroup(model: Model) -> list[Diagnostic]:

@@ -30,7 +30,7 @@ from .model import (
     Model,
     RelationKind,
     TREE_ELEMENT_KINDS,
-    TREE_KINDS,
+    feature_forest,
 )
 
 DEFAULT_BUDGET = 24
@@ -70,91 +70,53 @@ class _Graph:
 
 
 def _build_graph(model: Model) -> _Graph:
-    nodes = tuple(
-        e.id for e in model.elements.values() if e.kind in TREE_ELEMENT_KINDS
-    )
-    node_set = set(nodes)
-    parent_edges: list[tuple[str, str]] = []
+    forest = feature_forest(model)
+    for child, ps in forest.parents.items():
+        if len(ps) > 1:
+            raise InvalidFeatureTreeError(
+                f"{child!r} has {len(ps)} parents in the feature tree"
+            )
+    if forest.cycle:
+        raise InvalidFeatureTreeError(
+            f"feature tree contains a cycle through {forest.cycle[0]!r}"
+        )
+    if len(forest.roots) > 1:
+        raise InvalidFeatureTreeError(
+            f"feature tree has {len(forest.roots)} roots: "
+            f"{', '.join(sorted(forest.roots))}"
+        )
+    node_set = set(forest.nodes)
     mandatory: list[tuple[str, str]] = []
     groups: list[tuple[str, tuple[str, ...], int, int]] = []
     requires: list[tuple[str, str]] = []
     excludes: list[tuple[str, str]] = []
     for rel in model.relations:
-        if rel.kind in TREE_KINDS:
-            if rel.source not in node_set:
-                continue
-            targets = tuple(t for t in rel.targets if t in node_set)
-            if not targets:
-                continue
-            for t in targets:
-                parent_edges.append((rel.source, t))
-            if rel.kind is RelationKind.MANDATORY:
-                mandatory.append((rel.source, targets[0]))
-            elif rel.kind is RelationKind.OR_GROUP:
-                lo, hi = rel.cardinality or (1, len(targets))
-                groups.append((rel.source, targets, lo, hi))
-            elif rel.kind is RelationKind.ALTERNATIVE:
-                groups.append((rel.source, targets, 1, 1))
-        elif rel.kind is RelationKind.REQUIRES:
-            if rel.source in node_set and rel.targets[0] in node_set:
-                requires.append((rel.source, rel.targets[0]))
-        elif rel.kind is RelationKind.EXCLUDES:
-            if rel.source in node_set and rel.targets[0] in node_set:
-                excludes.append((rel.source, rel.targets[0]))
-
-    parented = {c for _, c in parent_edges}
-    for child, count in _multi_parents(parent_edges).items():
-        if count > 1:
-            raise InvalidFeatureTreeError(
-                f"{child!r} has {count} parents in the feature tree"
-            )
-    _reject_cycles(nodes, parent_edges)
-    roots = [n for n in nodes if n not in parented]
-    if len(roots) > 1:
-        raise InvalidFeatureTreeError(
-            f"feature tree has {len(roots)} roots: {', '.join(sorted(roots))}"
-        )
-    root = roots[0] if roots else None
+        if rel.source not in node_set:
+            continue
+        if rel.kind in (RelationKind.REQUIRES, RelationKind.EXCLUDES):
+            if rel.targets[0] in node_set:
+                pairs = requires if rel.kind is RelationKind.REQUIRES else excludes
+                pairs.append((rel.source, rel.targets[0]))
+            continue
+        targets = tuple(t for t in rel.targets if t in node_set)
+        if not targets:
+            continue
+        if rel.kind is RelationKind.MANDATORY:
+            mandatory.append((rel.source, targets[0]))
+        elif rel.kind is RelationKind.OR_GROUP:
+            lo, hi = rel.cardinality or (1, len(targets))
+            groups.append((rel.source, targets, lo, hi))
+        elif rel.kind is RelationKind.ALTERNATIVE:
+            groups.append((rel.source, targets, 1, 1))
     return _Graph(
-        nodes,
-        root,
-        tuple(parent_edges),
+        forest.nodes,
+        forest.roots[0] if forest.roots else None,
+        forest.edges,
         tuple(mandatory),
         tuple(groups),
         tuple(requires),
         tuple(excludes),
     )
-
-
-def _multi_parents(parent_edges: list[tuple[str, str]]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for _, child in parent_edges:
-        counts[child] = counts.get(child, 0) + 1
-    return counts
-
-
-def _reject_cycles(
-    nodes: tuple[str, ...], parent_edges: list[tuple[str, str]]
-) -> None:
-    children: dict[str, list[str]] = {}
-    for p, c in parent_edges:
-        children.setdefault(p, []).append(c)
-    state: dict[str, int] = {}
-
-    def visit(node: str) -> None:
-        state[node] = 1
-        for child in children.get(node, ()):
-            if state.get(child) == 1:
-                raise InvalidFeatureTreeError(
-                    f"feature tree contains a cycle through {child!r}"
-                )
-            if state.get(child) is None:
-                visit(child)
-        state[node] = 2
-
-    for n in nodes:
-        if state.get(n) is None:
-            visit(n)
 
 
 # --- constraint evaluation over partial assignments --------------------------
@@ -419,10 +381,8 @@ def variant_combinations(model: Model, blocks: list[str]) -> int:
             raise UnknownElementError(block_id)
         count = sum(
             1
-            for rel in model.relations
-            if rel.kind is RelationKind.REFERENCES
-            and rel.source == block_id
-            and (target := model.elements.get(rel.targets[0])) is not None
+            for rel in model.index.outgoing(block_id, RelationKind.REFERENCES)
+            if (target := model.elements.get(rel.targets[0])) is not None
             and target.kind is ElementKind.VARIANT
         )
         total *= max(count, 1)

@@ -109,11 +109,8 @@ _NODE_STYLE: dict[ElementKind, str] = {
     ElementKind.FUNCTION: 'shape=box, style=rounded, color="black"',
     ElementKind.VARIATION_POINT: 'shape=diamond, color="black"',
     ElementKind.REQUIREMENT: 'shape=note, color="brown"',
-    ElementKind.CONSTRAINT: 'shape=note, color="brown"',
     ElementKind.BLOCK: 'shape=box, style=filled, fillcolor="lightblue"',
     ElementKind.VARIANT: 'shape=box, style=filled, fillcolor="palegreen"',
-    ElementKind.CHANNEL: 'shape=box, color="gray40"',
-    ElementKind.EFFECT: 'shape=box, color="purple"',
     ElementKind.KNOWLEDGE_ENTRY: 'shape=cylinder, color="gray20"',
 }
 

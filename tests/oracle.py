@@ -6,7 +6,9 @@ no code with the package's pruned backtracking search. The conflict
 oracle intersects requirement intervals pairwise (for intervals, an
 empty joint intersection always shows up in some pair). The reference
 effective-requirements walk is the original recursive definition, kept
-literally for differential tests of the iterative, memoized one.
+literally for differential tests of the iterative, memoized one; the
+reference feature-forest checks keep the original recursive cycle
+search the same way.
 """
 
 from __future__ import annotations
@@ -277,3 +279,77 @@ def conflicts_reference(model: Model) -> list[tuple]:
                     )
                 )
     return groups
+
+
+# --- reference feature-forest checks --------------------------------------------
+
+
+def _tree_edges(model: Model) -> tuple[list[str], list[tuple[str, str]]]:
+    nodes = [e.id for e in model.elements.values() if e.kind in TREE_ELEMENT_KINDS]
+    node_set = set(nodes)
+    edges = [
+        (rel.source, t)
+        for rel in model.relations
+        if rel.kind in TREE_KINDS and rel.source in node_set
+        for t in rel.targets
+        if t in node_set
+    ]
+    return nodes, edges
+
+
+def cycle_reference(model: Model) -> list[str] | None:
+    """First feature-tree cycle (closed: a, b, a) by the recursive search.
+
+    Nodes in element order, children in edge order. Recursion depth is
+    the tree depth: small models only.
+    """
+    nodes, edges = _tree_edges(model)
+    children: dict[str, list[str]] = {}
+    for p, c in edges:
+        children.setdefault(p, []).append(c)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in nodes}
+    stack: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        color[node] = GRAY
+        stack.append(node)
+        for child in children.get(node, ()):
+            if color[child] == GRAY:
+                return stack[stack.index(child) :] + [child]
+            if color[child] == WHITE:
+                found = visit(child)
+                if found:
+                    return found
+        stack.pop()
+        color[node] = BLACK
+        return None
+
+    for n in nodes:
+        if color[n] == WHITE:
+            found = visit(n)
+            if found:
+                return found
+    return None
+
+
+def tree_error_reference(model: Model) -> str | None:
+    """The message variability rejects the tree with, or None if valid.
+
+    Checked in order: a child with several parents (the first such
+    child by edge order), a cycle, several roots.
+    """
+    nodes, edges = _tree_edges(model)
+    counts: dict[str, int] = {}
+    for _, c in edges:
+        counts[c] = counts.get(c, 0) + 1
+    for child, count in counts.items():
+        if count > 1:
+            return f"{child!r} has {count} parents in the feature tree"
+    cycle = cycle_reference(model)
+    if cycle:
+        return f"feature tree contains a cycle through {cycle[0]!r}"
+    roots = sorted(n for n in nodes if n not in counts)
+    if len(roots) > 1:
+        return f"feature tree has {len(roots)} roots: {', '.join(roots)}"
+    return None

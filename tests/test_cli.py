@@ -9,8 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import imog
 from conftest import FIXTURES
+from imog import cli
 from imog.cli import run
 
 ESCOOTER = str(FIXTURES / "escooter.imog")
@@ -70,6 +73,88 @@ def test_usage_error_exits_two():
     code, _out, err = invoke("vars", ESCOOTER)  # no analysis flag
     assert code == 2
     assert "usage" in err.lower()
+
+
+def test_unexpected_exception_is_one_internal_error_line(monkeypatch):
+    def broken(args, out, err):
+        raise RuntimeError("boom\n  at depth")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", broken)
+    code, out, err = invoke("check", ESCOOTER)
+    assert code == 2
+    assert out == ""
+    assert err == "imog: internal error: RuntimeError: boom at depth\n"
+
+
+# --- inputs at the extremes end in diagnostics, never a traceback ---------------
+
+CHAIN_DEPTH = 3000
+
+
+@pytest.fixture(scope="module")
+def deep_chain(tmp_path_factory):
+    """A feature chain CHAIN_DEPTH mandatory levels deep."""
+    features = [
+        f'feature F{i} "f{i}" {{ mandatory F{i + 1} }}' for i in range(CHAIN_DEPTH - 1)
+    ]
+    features.append(f'feature F{CHAIN_DEPTH - 1} "leaf"')
+    path = tmp_path_factory.mktemp("deep") / "chain.imog"
+    path.write_text(f'model "Chain" {{ functional {{ {" ".join(features)} }} }}\n')
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def repeated_headers(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deep") / "models.imog"
+    path.write_text("model " * 5000 + "\n")
+    return str(path)
+
+
+def test_check_deep_feature_chain(deep_chain):
+    code, out, err = invoke("check", deep_chain)
+    assert code in (0, 1)
+    assert out.startswith(f"{deep_chain}: 0 error(s)")
+    assert err.count("W-202") == CHAIN_DEPTH
+
+
+def test_vars_count_deep_feature_chain_hits_budget(deep_chain):
+    code, out, err = invoke("vars", deep_chain, "--count")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"imog: feature model has {CHAIN_DEPTH} features, enumeration budget is 24\n"
+    )
+
+
+def test_check_repeated_model_headers(repeated_headers):
+    code, _out, err = invoke("check", repeated_headers)
+    assert code == 1
+    lines = err.splitlines()
+    assert lines and all(line.startswith("P-001 error") for line in lines)
+
+
+def test_every_command_ends_in_an_exit_code(deep_chain, repeated_headers, tmp_path):
+    store = str(tmp_path / "kb.imogkb")
+    for path in (deep_chain, repeated_headers):
+        for argv in (
+            ("check", path),
+            ("vars", path, "--count"),
+            ("vars", path, "--enumerate", "3"),
+            ("vars", path, "--dead"),
+            ("vars", path, "--select", "F1=in"),
+            ("trace", path, "--coverage"),
+            ("trace", path, "--impact", "F1"),
+            ("trace", path, "--conflicts"),
+            ("view", path, "--levels", "system", "--perspectives", "functional"),
+            ("export", path, "--graph"),
+            ("export", path, "--reqtable"),
+            ("export", path, "--roadmap"),
+            ("kb", "--store", store, "extract", path, "F1"),
+            ("kb", "--store", store, "check", path),
+        ):
+            code, _out, err = invoke(*argv)
+            assert code in (0, 1, 2), argv
+            assert "internal error" not in err, argv
 
 
 def test_vars_count_matches_committed_expectation():
