@@ -1,15 +1,24 @@
 """Tokenizer for the `.imog` textual format.
 
 Keywords are reserved, lower-case, case-sensitive. `//` comments run to
-end of line. Numbers are decimal with an optional fraction and no
-exponent; `1..2` lexes as two numbers around a range separator because
-a fraction dot must be followed by a digit.
+end of line. An identifier is a letter or `_` followed by letters,
+digits or `_`. Numbers are decimal digits with an optional fraction and
+no exponent; `1..2` lexes as two numbers around a range separator
+because a fraction dot must be followed by a digit.
+
+Cost: linear in the source length. One compiled master pattern (the
+`re` module's "Writing a Tokenizer" recipe) makes one match per token
+and per run of trivia; only strings with escapes or without their
+closing quote take a slower path, one match per run of plain
+characters. A token is a plain tuple; its `SourceSpan` is built only
+when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan, make
 
@@ -75,12 +84,18 @@ class TokenKind(Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     value: object  # str for words/strings, int|float for numbers
-    span: SourceSpan
+    file: str
+    line: int  # a token never spans lines
+    col: int
+    end_col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
 
     def is_word(self, word: str) -> bool:
         return (
@@ -89,168 +104,103 @@ class Token:
         )
 
 
-_PUNCT = {
+_SYMBOLS = {
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,
     "[": TokenKind.LBRACKET,
     "]": TokenKind.RBRACKET,
     ":": TokenKind.COLON,
+    "->": TokenKind.ARROW,
+    "<->": TokenKind.BIARROW,
+    "..": TokenKind.DOTDOT,
+    **{op: TokenKind.CMP for op in ("<", ">", "<=", ">=", "==")},
 }
+
+# `\w` also holds digits such as '²' and '½' that are not letters; a word
+# starting with one is rejected in `tokenize`, as identifiers must start
+# with a letter or `_`. Numbers take only decimal digits, which `int()`
+# and `float()` accept.
+_TOKEN = re.compile(
+    r"""(?P<trivia>(?:[ \t\r\n]+|//[^\n]*)+)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<symbol>[{}\[\]:]|->|<->|[<>=]=?|\.\.)
+      | (?P<string>"[^"\\\n]*")
+      | (?P<number>-?\d+(?:\.\d+)?)
+      | (?P<quote>")
+    """,
+    re.VERBOSE,
+)
+_PLAIN = re.compile(r'[^"\\\n]*')
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
-class Lexer:
-    def __init__(self, source: str, file: str):
-        self.source = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.diagnostics: list[Diagnostic] = []
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _here(self) -> tuple[int, int]:
-        return self.line, self.col
-
-    def _span(self, start: tuple[int, int]) -> SourceSpan:
-        end_line, end_col = self.line, self.col - 1
-        if (end_line, end_col) < start:
-            end_line, end_col = start
-        return SourceSpan(self.file, start[0], start[1], end_line, end_col)
-
-    def _error(self, message: str, start: tuple[int, int]) -> None:
-        self.diagnostics.append(
-            make("P-001", message, span=self._span(start))
-        )
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            self._skip_trivia()
-            start = self._here()
-            ch = self._peek()
-            if not ch:
-                out.append(
-                    Token(TokenKind.EOF, "", None, self._span(start))
-                )
-                return out
-            if ch in _PUNCT:
-                self._advance()
-                out.append(Token(_PUNCT[ch], ch, ch, self._span(start)))
-            elif ch == '"':
-                out.append(self._string(start))
-            elif ch.isdigit() or (ch == "-" and self._peek(1).isdigit()):
-                out.append(self._number(start))
-            elif ch.isalpha() or ch == "_":
-                out.append(self._word(start))
-            elif ch == "-" and self._peek(1) == ">":
-                self._advance()
-                self._advance()
-                out.append(Token(TokenKind.ARROW, "->", "->", self._span(start)))
-            elif ch == "<" and self._peek(1) == "-" and self._peek(2) == ">":
-                self._advance()
-                self._advance()
-                self._advance()
-                out.append(
-                    Token(TokenKind.BIARROW, "<->", "<->", self._span(start))
-                )
-            elif ch in "<>=" :
-                out.append(self._comparator(start))
-            elif ch == "." and self._peek(1) == ".":
-                self._advance()
-                self._advance()
-                out.append(Token(TokenKind.DOTDOT, "..", "..", self._span(start)))
-            else:
-                self._advance()
-                self._error(f"unexpected character {ch!r}", start)
-
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _string(self, start: tuple[int, int]) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                self._error("unterminated string", start)
-                break
-            self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                esc = self._peek()
-                if esc in _ESCAPES:
-                    self._advance()
-                    chars.append(_ESCAPES[esc])
-                else:
-                    self._error(f"unknown escape \\{esc}", start)
-            else:
-                chars.append(ch)
-        text = "".join(chars)
-        return Token(TokenKind.STRING, f'"{text}"', text, self._span(start))
-
-    def _number(self, start: tuple[int, int]) -> Token:
-        chars: list[str] = []
-        if self._peek() == "-":
-            chars.append(self._advance())
-        while self._peek().isdigit():
-            chars.append(self._advance())
-        is_float = False
-        # a fraction dot must be followed by a digit, so `1..2` stays a range
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            chars.append(self._advance())
-            while self._peek().isdigit():
-                chars.append(self._advance())
-        lexeme = "".join(chars)
-        value: int | float = float(lexeme) if is_float else int(lexeme)
-        return Token(TokenKind.NUMBER, lexeme, value, self._span(start))
-
-    def _word(self, start: tuple[int, int]) -> Token:
-        chars: list[str] = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        lexeme = "".join(chars)
-        kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
-        return Token(kind, lexeme, lexeme, self._span(start))
-
-    def _comparator(self, start: tuple[int, int]) -> Token:
-        ch = self._advance()
-        if self._peek() == "=":
-            self._advance()
-            op = ch + "="
-        else:
-            op = ch
-        if op == "=":
-            self._error("unexpected character '='", start)
-            op = "=="  # degrade gracefully
-        return Token(TokenKind.CMP, op, op, self._span(start))
-
-
 def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
-    lexer = Lexer(source, file)
-    toks = lexer.tokens()
-    return toks, lexer.diagnostics
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    append = tokens.append
+    match = _TOKEN.match
+
+    def error(message: str, col: int, end_col: int) -> None:
+        span = SourceSpan(file, line, col, line, end_col)
+        diagnostics.append(make("P-001", message, span=span))
+
+    pos, line, line_start, size = 0, 1, 0, len(source)
+    while pos < size:
+        col = pos - line_start + 1
+        m = match(source, pos)
+        if m is None:
+            error(f"unexpected character {source[pos]!r}", col, col)
+            pos += 1
+            continue
+        group, end, text = m.lastgroup, m.end(), m.group()
+        if group == "trivia":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
+            pos = end
+            continue
+        value: object = text
+        if group == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                error(f"unexpected character {text[0]!r}", col, col)
+                pos += 1
+                continue
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+        elif group == "symbol":
+            if text == "=":
+                error("unexpected character '='", col, col)
+                text = value = "=="  # degrade gracefully
+            kind = _SYMBOLS[text]
+        elif group == "string":
+            kind, value = TokenKind.STRING, text[1:-1]
+        elif group == "number":
+            kind, value = TokenKind.NUMBER, float(text) if "." in text else int(text)
+        else:  # a string with escapes, or without its closing quote
+            chars: list[str] = []
+            while True:
+                run = _PLAIN.match(source, end).end()
+                chars.append(source[end:run])
+                end = run
+                ch = source[end : end + 1]
+                if ch == '"':
+                    end += 1
+                    break
+                if ch != "\\":
+                    error("unterminated string", col, end - line_start)
+                    break
+                escape = source[end + 1 : end + 2]
+                if escape in _ESCAPES:
+                    chars.append(_ESCAPES[escape])
+                    end += 2
+                else:
+                    end += 1
+                    error(f"unknown escape \\{escape}", col, end - line_start)
+            value = "".join(chars)
+            kind, text = TokenKind.STRING, f'"{value}"'
+        append(Token(kind, text, value, file, line, col, end - line_start))
+        pos = end
+    col = pos - line_start + 1
+    append(Token(TokenKind.EOF, "", None, file, line, col, col))
+    return tokens, diagnostics

@@ -200,19 +200,29 @@ def _solutions(
     def ok(node: str) -> bool:
         return all(check(assign) for check in table[node])
 
-    def walk(i: int) -> Iterator[frozenset[str]]:
-        if i == len(order):
-            yield frozenset(n for n, v in assign.items() if v)
-            return
-        node = order[i]
-        choices = (fixed[node],) if node in fixed else (True, False)
-        for value in choices:
+    def choices(node: str) -> Iterator[bool]:
+        return iter((fixed[node],) if node in fixed else (True, False))
+
+    if not order:
+        yield frozenset()
+        return
+    # untried[i] holds the values of order[i] still to try: an explicit
+    # stack in place of one recursion level per feature
+    untried = [choices(order[0])]
+    while untried:
+        node = order[len(untried) - 1]
+        for value in untried[-1]:
             assign[node] = value
             if ok(node):
-                yield from walk(i + 1)
-        assign[node] = None
-
-    yield from walk(0)
+                break
+        else:
+            assign[node] = None
+            untried.pop()
+            continue
+        if len(untried) == len(order):
+            yield frozenset(n for n, v in assign.items() if v)
+        else:
+            untried.append(choices(order[len(untried)]))
 
 
 def _satisfiable(graph: _Graph, assumptions: Mapping[str, bool]) -> bool:

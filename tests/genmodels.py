@@ -28,6 +28,14 @@ _WORDS = (
     "frame",
 )
 
+# characters that decide where tokens start and end (form feed and
+# no-break space are whitespace to `\s` but not to imog), plus whole
+# tokens: the alphabet of the lexer differential and robustness tests
+LEXER_ALPHABET = (
+    *'{}[]:"\\-<>=./ \t\r\n\f\xa0nt09a_é½١',
+    *("model", "->", "<->", "..", "//", "1.5"),
+)
+
 _UNITS = ("kg", "W", "km", "s", "EUR", "V")
 
 _LEVELS = ("context", "system", "component")

@@ -8,14 +8,18 @@ empty joint intersection always shows up in some pair). The reference
 effective-requirements walk is the original recursive definition, kept
 literally for differential tests of the iterative, memoized one; the
 reference feature-forest checks keep the original recursive cycle
-search the same way.
+search the same way, and the reference lexer the original
+character-at-a-time tokenizer.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
+from imog.diagnostics import Diagnostic, SourceSpan, make
+from imog.lexer import KEYWORDS, TokenKind
 from imog.model import (
     ElementKind,
     Model,
@@ -353,3 +357,188 @@ def tree_error_reference(model: Model) -> str | None:
     if len(roots) > 1:
         return f"feature tree has {len(roots)} roots: {', '.join(roots)}"
     return None
+
+
+# --- reference lexer -------------------------------------------------------------
+# The original character-at-a-time tokenizer, copied literally so the
+# differential test can hold the regex tokenizer to the same tokens,
+# spans and P-001 diagnostics. Numbers start and extend with
+# `str.isdigit()`, so digits such as '²' make it raise ValueError;
+# callers skip inputs on which it raises.
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: TokenKind
+    lexeme: str
+    value: object  # str for words/strings, int|float for numbers
+    span: SourceSpan
+
+
+_PUNCT = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "[": TokenKind.LBRACKET,
+    "]": TokenKind.RBRACKET,
+    ":": TokenKind.COLON,
+}
+
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+
+class ReferenceLexer:
+    def __init__(self, source: str, file: str):
+        self.source = source
+        self.file = file
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+        self.diagnostics: list[Diagnostic] = []
+
+    def _peek(self, offset: int = 0) -> str:
+        i = self.pos + offset
+        return self.source[i] if i < len(self.source) else ""
+
+    def _advance(self) -> str:
+        ch = self.source[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def _here(self) -> tuple[int, int]:
+        return self.line, self.col
+
+    def _span(self, start: tuple[int, int]) -> SourceSpan:
+        end_line, end_col = self.line, self.col - 1
+        if (end_line, end_col) < start:
+            end_line, end_col = start
+        return SourceSpan(self.file, start[0], start[1], end_line, end_col)
+
+    def _error(self, message: str, start: tuple[int, int]) -> None:
+        self.diagnostics.append(
+            make("P-001", message, span=self._span(start))
+        )
+
+    def tokens(self) -> list[Token]:
+        out: list[Token] = []
+        while True:
+            self._skip_trivia()
+            start = self._here()
+            ch = self._peek()
+            if not ch:
+                out.append(
+                    Token(TokenKind.EOF, "", None, self._span(start))
+                )
+                return out
+            if ch in _PUNCT:
+                self._advance()
+                out.append(Token(_PUNCT[ch], ch, ch, self._span(start)))
+            elif ch == '"':
+                out.append(self._string(start))
+            elif ch.isdigit() or (ch == "-" and self._peek(1).isdigit()):
+                out.append(self._number(start))
+            elif ch.isalpha() or ch == "_":
+                out.append(self._word(start))
+            elif ch == "-" and self._peek(1) == ">":
+                self._advance()
+                self._advance()
+                out.append(Token(TokenKind.ARROW, "->", "->", self._span(start)))
+            elif ch == "<" and self._peek(1) == "-" and self._peek(2) == ">":
+                self._advance()
+                self._advance()
+                self._advance()
+                out.append(
+                    Token(TokenKind.BIARROW, "<->", "<->", self._span(start))
+                )
+            elif ch in "<>=" :
+                out.append(self._comparator(start))
+            elif ch == "." and self._peek(1) == ".":
+                self._advance()
+                self._advance()
+                out.append(Token(TokenKind.DOTDOT, "..", "..", self._span(start)))
+            else:
+                self._advance()
+                self._error(f"unexpected character {ch!r}", start)
+
+    def _skip_trivia(self) -> None:
+        while True:
+            ch = self._peek()
+            if ch and ch in " \t\r\n":
+                self._advance()
+            elif ch == "/" and self._peek(1) == "/":
+                while self._peek() and self._peek() != "\n":
+                    self._advance()
+            else:
+                return
+
+    def _string(self, start: tuple[int, int]) -> Token:
+        self._advance()  # opening quote
+        chars: list[str] = []
+        while True:
+            ch = self._peek()
+            if not ch or ch == "\n":
+                self._error("unterminated string", start)
+                break
+            self._advance()
+            if ch == '"':
+                break
+            if ch == "\\":
+                esc = self._peek()
+                if esc in _ESCAPES:
+                    self._advance()
+                    chars.append(_ESCAPES[esc])
+                else:
+                    self._error(f"unknown escape \\{esc}", start)
+            else:
+                chars.append(ch)
+        text = "".join(chars)
+        return Token(TokenKind.STRING, f'"{text}"', text, self._span(start))
+
+    def _number(self, start: tuple[int, int]) -> Token:
+        chars: list[str] = []
+        if self._peek() == "-":
+            chars.append(self._advance())
+        while self._peek().isdigit():
+            chars.append(self._advance())
+        is_float = False
+        # a fraction dot must be followed by a digit, so `1..2` stays a range
+        if self._peek() == "." and self._peek(1).isdigit():
+            is_float = True
+            chars.append(self._advance())
+            while self._peek().isdigit():
+                chars.append(self._advance())
+        lexeme = "".join(chars)
+        value: int | float = float(lexeme) if is_float else int(lexeme)
+        return Token(TokenKind.NUMBER, lexeme, value, self._span(start))
+
+    def _word(self, start: tuple[int, int]) -> Token:
+        chars: list[str] = []
+        while self._peek().isalnum() or self._peek() == "_":
+            chars.append(self._advance())
+        lexeme = "".join(chars)
+        kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
+        return Token(kind, lexeme, lexeme, self._span(start))
+
+    def _comparator(self, start: tuple[int, int]) -> Token:
+        ch = self._advance()
+        if self._peek() == "=":
+            self._advance()
+            op = ch + "="
+        else:
+            op = ch
+        if op == "=":
+            self._error("unexpected character '='", start)
+            op = "=="  # degrade gracefully
+        return Token(TokenKind.CMP, op, op, self._span(start))
+
+
+def tokenize_reference(
+    source: str, file: str
+) -> tuple[list[Token], list[Diagnostic]]:
+    lexer = ReferenceLexer(source, file)
+    toks = lexer.tokens()
+    return toks, lexer.diagnostics

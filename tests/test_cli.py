@@ -10,9 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import imog
 from conftest import FIXTURES
+from genmodels import LEXER_ALPHABET
 from imog import cli
 from imog.cli import run
 
@@ -133,28 +136,70 @@ def test_check_repeated_model_headers(repeated_headers):
     assert lines and all(line.startswith("P-001 error") for line in lines)
 
 
+def assert_every_command_ends_in_an_exit_code(path: str, store: str) -> None:
+    """Each subcommand and analysis flag on `path` exits 0, 1 or 2, never crashing."""
+    for argv in (
+        ("check", path),
+        ("vars", path, "--count"),
+        ("vars", path, "--enumerate", "3"),
+        ("vars", path, "--dead"),
+        ("vars", path, "--select", "F1=in"),
+        ("trace", path, "--coverage"),
+        ("trace", path, "--impact", "F1"),
+        ("trace", path, "--conflicts"),
+        ("view", path, "--levels", "system", "--perspectives", "functional"),
+        ("export", path, "--graph"),
+        ("export", path, "--reqtable"),
+        ("export", path, "--roadmap"),
+        ("kb", "--store", store, "extract", path, "F1"),
+        ("kb", "--store", store, "check", path),
+    ):
+        code, _out, err = invoke(*argv)
+        assert code in (0, 1, 2), argv
+        assert "internal error" not in err, argv
+
+
 def test_every_command_ends_in_an_exit_code(deep_chain, repeated_headers, tmp_path):
     store = str(tmp_path / "kb.imogkb")
     for path in (deep_chain, repeated_headers):
-        for argv in (
-            ("check", path),
-            ("vars", path, "--count"),
-            ("vars", path, "--enumerate", "3"),
-            ("vars", path, "--dead"),
-            ("vars", path, "--select", "F1=in"),
-            ("trace", path, "--coverage"),
-            ("trace", path, "--impact", "F1"),
-            ("trace", path, "--conflicts"),
-            ("view", path, "--levels", "system", "--perspectives", "functional"),
-            ("export", path, "--graph"),
-            ("export", path, "--reqtable"),
-            ("export", path, "--roadmap"),
-            ("kb", "--store", store, "extract", path, "F1"),
-            ("kb", "--store", store, "check", path),
-        ):
-            code, _out, err = invoke(*argv)
-            assert code in (0, 1, 2), argv
-            assert "internal error" not in err, argv
+        assert_every_command_ends_in_an_exit_code(path, store)
+
+
+FIXTURE_TEXTS = [
+    (FIXTURES / f"{name}.imog").read_text(encoding="utf-8")
+    for name in ("escooter", "conflict", "conflicts_two", "kbref_late")
+]
+
+
+@st.composite
+def damaged_fixture_text(draw):
+    """Fixture text cut at a random offset, or with a slice overwritten."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    i = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        return text[:i]
+    j = draw(st.integers(i, min(len(text), i + 80)))
+    filler = draw(st.lists(st.sampled_from(LEXER_ALPHABET), max_size=12))
+    return text[:i] + "".join(filler) + text[j:]
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=damaged_fixture_text())
+def test_every_command_survives_damaged_fixtures(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("damaged")
+    path = folder / "damaged.imog"
+    path.write_text(text, encoding="utf-8")
+    assert_every_command_ends_in_an_exit_code(str(path), str(folder / "kb.imogkb"))
+
+
+@pytest.mark.parametrize("source", ["x ²", "1.²", "-²"])
+def test_check_non_decimal_digit_is_a_parse_error(tmp_path, source):
+    path = tmp_path / "digits.imog"
+    path.write_text(source + "\n", encoding="utf-8")
+    code, _out, err = invoke("check", str(path))
+    assert code == 1
+    assert "unexpected character '²'" in err
+    assert "internal error" not in err
 
 
 def test_vars_count_matches_committed_expectation():
@@ -305,12 +350,12 @@ def test_parse_error_exits_one():
         bad.unlink()
 
 
-def test_entry_point_subprocess():
+def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:
     # the child imports imog from where this process did
     package_root = str(Path(imog.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    proc = subprocess.run(
-        [sys.executable, "-m", "imog.cli", "check", ESCOOTER],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env={
@@ -318,6 +363,16 @@ def test_entry_point_subprocess():
             "PYTHONPATH": package_root + (os.pathsep + path if path else ""),
         },
     )
+
+
+def test_entry_point_subprocess():
+    proc = run_module("imog.cli", "check", ESCOOTER)
+    assert proc.returncode == 0
+    assert "0 error(s)" in proc.stdout
+
+
+def test_package_runs_as_module():
+    proc = run_module("imog", "check", ESCOOTER)
     assert proc.returncode == 0
     assert "0 error(s)" in proc.stdout
 

@@ -174,6 +174,18 @@ def test_budget_guard():
     assert variability.count_configurations(small, budget=3) == 4
 
 
+def test_count_on_deep_mandatory_chain_with_large_budget():
+    # the search keeps one stack entry per feature, not one Python frame
+    depth = 3000
+    body = " ".join(
+        f'feature F{i} "f" {{ mandatory F{i + 1} }}' for i in range(depth - 1)
+    ) + f' feature F{depth - 1} "leaf"'
+    model = parse_functional(body)
+    assert variability.count_configurations(model, budget=depth) == 1
+    (only,) = variability.enumerate_configurations(model, budget=depth)
+    assert len(only.selected) == depth
+
+
 def test_invalid_tree_rejected():
     model = parse_functional(
         'feature R "r" { mandatory C } feature G "g" { optional C } feature C "c"'
