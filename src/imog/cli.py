@@ -9,6 +9,7 @@ or imog hit an internal error, reported as one stderr line.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import IO, Sequence
@@ -17,7 +18,7 @@ from . import knowledge, trace, variability, views
 from .diagnostics import Diagnostic, Severity, format_record, format_text
 from .errors import ImogError
 from .model import AbstractionLevel, Model, Perspective
-from .parser import ParseResult, parse_file
+from .parser import parse_file
 from .printer import print_model
 from .resolve import check_model
 
@@ -37,6 +38,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="imog", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -114,11 +116,6 @@ def _report(
     return EXIT_OK
 
 
-def _load_model(path: str) -> tuple[Model | None, ParseResult]:
-    result = parse_file(path)
-    return result.model, result
-
-
 def _payload(args, out: IO[str], text: str) -> None:
     target = getattr(args, "out", None)
     if target:
@@ -129,10 +126,10 @@ def _payload(args, out: IO[str], text: str) -> None:
 
 
 def _cmd_check(args, out: IO[str], err: IO[str]) -> int:
-    model, result = _load_model(args.file)
+    result = parse_file(args.file)
     diags = list(result.diagnostics)
-    if model is not None:
-        diags = result.diagnostics + check_model(model)
+    if result.model is not None:
+        diags = result.diagnostics + check_model(result.model)
     code = _report(diags, err, args.format)
     counts = {s: 0 for s in Severity}
     for d in diags:
@@ -147,16 +144,18 @@ def _cmd_check(args, out: IO[str], err: IO[str]) -> int:
 
 def _checked_model(args, err: IO[str]) -> tuple[Model | None, int]:
     """Parse and resolve; analyses need a resolved model."""
-    model, result = _load_model(args.file)
-    if model is None:
+    result = parse_file(args.file)
+    if result.model is None:
         return None, _report(result.diagnostics, err)
+    # looked up at call time, as check_model looks up its own call, so
+    # that a wrapper put on imog.resolve.resolve (perfbench/spans.py)
+    # also sees the analyses' resolve step
     from .resolve import resolve
 
-    diags = result.diagnostics + resolve(model)
-    code = _report(diags, err)
+    code = _report(result.diagnostics + resolve(result.model), err)
     if code != EXIT_OK:
         return None, code
-    return model, EXIT_OK
+    return result.model, EXIT_OK
 
 
 def _parse_selection(text: str) -> dict[str, bool]:
@@ -216,12 +215,12 @@ def _cmd_trace(args, out: IO[str], err: IO[str]) -> int:
 
 
 def _cmd_view(args, out: IO[str], err: IO[str]) -> int:
-    model, result = _load_model(args.file)
-    if model is None:
-        return _report(result.diagnostics, err)
+    result = parse_file(args.file)
     code = _report(result.diagnostics, err)
+    if result.model is None:
+        return code
     view = views.filter_view(
-        model,
+        result.model,
         [AbstractionLevel(l) for l in args.levels],
         [Perspective(p) for p in args.perspectives],
     )
@@ -230,16 +229,16 @@ def _cmd_view(args, out: IO[str], err: IO[str]) -> int:
 
 
 def _cmd_export(args, out: IO[str], err: IO[str]) -> int:
-    model, result = _load_model(args.file)
-    if model is None:
-        return _report(result.diagnostics, err)
+    result = parse_file(args.file)
     code = _report(result.diagnostics, err)
+    if result.model is None:
+        return code
     if args.graph:
-        text = views.export_graph(model)
+        text = views.export_graph(result.model)
     elif args.reqtable:
-        text = views.export_requirements_table(model)
+        text = views.export_requirements_table(result.model)
     else:
-        text = views.roadmap_scaffold(model)
+        text = views.roadmap_scaffold(result.model)
     _payload(args, out, text)
     return code
 

@@ -9,7 +9,7 @@ and solution descriptions connected.
 
 from __future__ import annotations
 
-from .diagnostics import Diagnostic, SourceSpan, make, sort_diagnostics
+from .diagnostics import Diagnostic, make, sort_diagnostics
 from .model import (
     ElementKind,
     Model,
@@ -48,10 +48,6 @@ ENDPOINT_RULES: dict[RelationKind, tuple[frozenset, frozenset]] = {
 }
 
 
-def _rel_span(model: Model, index: int) -> SourceSpan | None:
-    return model.spans.get(index)
-
-
 def resolve(model: Model) -> list[Diagnostic]:
     """R-101 for dangling references, R-102 for endpoint-type violations.
 
@@ -60,7 +56,7 @@ def resolve(model: Model) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     for index, rel in enumerate(model.relations):
-        span = _rel_span(model, index)
+        span = model.span_of(index)
         label = rel.kind.value
         unresolved = False
         for endpoint in rel.endpoints():
@@ -173,7 +169,7 @@ def _check_vp_under_orgroup(model: Model) -> list[Diagnostic]:
                         "W-201",
                         f"variation point {target_id!r} is a member of an or-group",
                         [rel.source, target_id],
-                        _rel_span(model, index),
+                        model.span_of(index),
                     )
                 )
     return diags
@@ -197,7 +193,7 @@ def _check_contains_levels(model: Model) -> list[Diagnostic]:
                     f"{child.level.value} block {child.id!r} cannot live inside "
                     f"{parent.level.value} block {parent.id!r}",
                     [parent.id, child.id],
-                    _rel_span(model, index),
+                    model.span_of(index),
                 )
             )
     return diags

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,17 @@ def test_usage_error_exits_two():
     code, _out, err = invoke("vars", ESCOOTER)  # no analysis flag
     assert code == 2
     assert "usage" in err.lower()
+
+
+def test_argument_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _err = invoke("vars", ESCOOTER, "--count")
+    assert (code, out) == (0, "14\n")
+    code, out, _err = invoke("check", ESCOOTER)
+    assert code == 0 and out.startswith(f"{ESCOOTER}: 0 error(s)")
+    assert invoke("--help")[0] == 0
+    assert capsys.readouterr().out.startswith("usage: imog")
+    assert invoke("vars", ESCOOTER, "--dead") == (0, "", "")
 
 
 def test_unexpected_exception_is_one_internal_error_line(monkeypatch):
@@ -190,6 +202,76 @@ def test_every_command_survives_damaged_fixtures(tmp_path_factory, text):
     path = folder / "damaged.imog"
     path.write_text(text, encoding="utf-8")
     assert_every_command_ends_in_an_exit_code(str(path), str(folder / "kb.imogkb"))
+
+
+# Extremes of depth and width. Each input goes through every command
+# (about 10 s in all), so sizes are drawn from narrow ranges and each
+# test runs few examples.
+
+
+def assert_text_ends_in_an_exit_code(folder: Path, text: str) -> None:
+    path = folder / "extreme.imog"
+    path.write_text(text, encoding="utf-8")
+    assert_every_command_ends_in_an_exit_code(str(path), str(folder / "kb.imogkb"))
+
+
+_BODY_HEADS = {
+    "feature": 'model "M" { functional { feature F1 "f" { mandatory F2 ',
+    "block": 'model "M" { structural { block B "b" level system { kbref K ',
+}
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    head=st.sampled_from(sorted(_BODY_HEADS)),
+    shape=st.sampled_from(["nested", "open", "close", "mixed"]),
+    n=st.integers(1000, 4000),
+    seed=st.integers(0, 2**32),
+)
+def test_thousands_of_braces_in_a_body(tmp_path_factory, head, shape, n, seed):
+    rng = random.Random(seed)
+    braces = {
+        "nested": "{ " * n + "} " * n,
+        "open": "{ " * n,
+        "close": "} " * n,
+        "mixed": " ".join(rng.choice("{}") for _ in range(n)),
+    }[shape]
+    text = _BODY_HEADS[head] + braces + " } } }"
+    assert_text_ends_in_an_exit_code(tmp_path_factory.mktemp("braces"), text)
+
+
+@settings(max_examples=1, deadline=None)
+@given(n=st.integers(18000, 20000), seed=st.integers(0, 2**32))
+def test_one_section_with_twenty_thousand_statements(tmp_path_factory, n, seed):
+    rng = random.Random(seed)
+    statements = ('goal G{} "g"', 'note N{} "n"')
+    body = " ".join(rng.choice(statements).format(i) for i in range(n))
+    text = f'model "M" {{ functional {{ feature F1 "f" }} strategy {{ {body} }} }}'
+    assert_text_ends_in_an_exit_code(tmp_path_factory.mktemp("long"), text)
+
+
+@settings(max_examples=2, deadline=None)
+@given(n=st.integers(1000, 3000), declared=st.booleans())
+def test_orgroup_with_thousands_of_members(tmp_path_factory, n, declared):
+    members = [f"A{i}" for i in range(n)]
+    features = " ".join(f'feature {m} "a"' for m in members) if declared else ""
+    text = (
+        f'model "M" {{ functional {{ feature F1 "r" '
+        f'{{ orgroup [1..{n}] {{ {" ".join(members)} }} }} {features} }} }}'
+    )
+    assert_text_ends_in_an_exit_code(tmp_path_factory.mktemp("wide"), text)
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    piece=st.sampled_from(["x", "x\\n", '\\"']),
+    closed=st.booleans(),
+    size=st.integers(190_000, 200_000),
+)
+def test_single_line_string_of_200_kb(tmp_path_factory, piece, closed, size):
+    string = '"' + piece * (size // len(piece)) + ('"' if closed else "")
+    text = f'model "M" {{ strategy {{ goal F1 {string} }} }}'
+    assert_text_ends_in_an_exit_code(tmp_path_factory.mktemp("string"), text)
 
 
 @pytest.mark.parametrize("source", ["x ²", "1.²", "-²"])

@@ -1,11 +1,24 @@
-"""Parser: fixtures, diagnostics, recovery, spans, determinism."""
+"""Parser: fixtures, diagnostics, recovery, spans, determinism.
+
+The differential tests at the end hold the parser to
+`parser_reference`, the parser as it was before all brace bodies went
+through one statement loop, on fixture, generated and damaged text.
+"""
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
 import imog
-from conftest import parse_fixture
+import parser_reference
+from conftest import FIXTURES, parse_fixture
+from genmodels import feature_model_text, full_model_text
 from imog.diagnostics import Severity
+from imog.lexer import KEYWORDS
 from imog.model import AbstractionLevel, ElementKind, RelationKind
+from imog.parser import _Parser, parse
 
 
 def codes(result):
@@ -246,3 +259,178 @@ def test_determinism_identical_input_identical_result():
     second = imog.parse(source, "d.imog")
     assert first.diagnostics == second.diagnostics
     assert imog.structurally_equal(first.model, second.model)
+
+
+# Each case: source, then (code, message, line, column) of every
+# diagnostic. A later diagnostic shows where recovery resumed.
+RECOVERY_CASES = {
+    "model level": (
+        """model "M" {
+  banana 1
+  strategy { goal G "g" goal G "h" }
+}""",
+        [
+            ("P-001", "expected a section, found 'banana'", 2, 3),
+            ("P-002", "duplicate id 'G'", 3, 25),
+        ],
+    ),
+    "section": (
+        """model "M" {
+  strategy {
+    banana 1
+    goal G "g"
+    goal G "h"
+  }
+}""",
+        [
+            ("P-001", "unexpected token 'banana'", 3, 5),
+            ("P-002", "duplicate id 'G'", 5, 5),
+        ],
+    ),
+    "feature body": (
+        """model "M" {
+  functional {
+    feature F "f" {
+      banana 1
+      mandatory 2
+    }
+  }
+}""",
+        [
+            ("P-001", "unexpected token 'banana'", 4, 7),
+            ("P-001", "expected identifier, found '2'", 5, 17),
+        ],
+    ),
+    "block body": (
+        """model "M" {
+  structural {
+    block B "b" level system {
+      banana 1
+      variant V "v"
+      variant V "w"
+    }
+  }
+}""",
+        [
+            ("P-001", "unexpected token 'banana'", 4, 7),
+            ("P-002", "duplicate id 'V'", 6, 7),
+        ],
+    ),
+    "end of input in a section": (
+        'model "M" {\n  strategy { goal G "g"',
+        [
+            ("P-001", "unexpected end of input, expected '}'", 2, 24),
+            ("P-001", "unexpected end of input, expected '}'", 2, 24),
+        ],
+    ),
+    "end of input in a feature body": (
+        'model "M" {\n  functional { feature F "f" { mandatory A',
+        [
+            ("P-001", "unexpected end of input in feature body", 2, 43),
+            ("P-001", "unexpected end of input, expected '}'", 2, 43),
+            ("P-001", "unexpected end of input, expected '}'", 2, 43),
+        ],
+    ),
+    "end of input in a block body": (
+        'model "M" {\n  structural { block B "b" level system { kbref K',
+        [
+            ("P-001", "unexpected end of input in block body", 2, 50),
+            ("P-001", "unexpected end of input, expected '}'", 2, 50),
+            ("P-001", "unexpected end of input, expected '}'", 2, 50),
+        ],
+    ),
+    "section keyword without a brace": (
+        """model "M" {
+  strategy goal G "g"
+  functional { feature F "f" feature F "g" }
+}""",
+        [
+            ("P-001", "expected '{', found 'goal'", 2, 12),
+            ("P-002", "duplicate id 'F'", 3, 30),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOVERY_CASES))
+def test_recovery_wording_and_resume_point(case):
+    source, expected = RECOVERY_CASES[case]
+    result = imog.parse(source, "recover.imog")
+    assert result.model is None
+    assert [
+        (d.code, d.message, d.span.start_line, d.span.start_col)
+        for d in result.diagnostics
+    ] == expected
+
+
+def test_statement_words_are_reserved():
+    # the statement loop dispatches on the lexeme alone, which is only
+    # right because no identifier can spell a statement word
+    tables = [v for v in vars(_Parser).values() if isinstance(v, dict)]
+    assert len(tables) == 8
+    for table in tables:
+        assert set(table) <= KEYWORDS
+
+
+# --- differential tests against the reference parser ---
+
+
+def _outcome(parse_fn, source: str):
+    result = parse_fn(source, "diff.imog")
+    model = result.model
+    if model is None:
+        return result.diagnostics, None
+    return result.diagnostics, (
+        model.name,
+        list(model.elements.items()),
+        model.relations,
+        model.requirement_bodies,
+        list(dict(model.spans).items()),
+    )
+
+
+def _same_as_reference(source: str) -> None:
+    assert _outcome(parse, source) == _outcome(parser_reference.parse, source), repr(
+        source
+    )
+
+
+def _corpus() -> list[str]:
+    files = sorted(p for p in FIXTURES.rglob("*") if p.is_file())
+    texts = [p.read_text(encoding="utf-8") for p in files]
+    rng = random.Random(11)
+    texts.extend(full_model_text(rng) for _ in range(30))
+    texts.extend(feature_model_text(rng) for _ in range(15))
+    return texts
+
+
+# whole tokens, so that damage lands on statement boundaries, keywords
+# in the wrong body and unbalanced braces
+_DAMAGE = (
+    *sorted(KEYWORDS),
+    *("{", "}", "{ }", "[", "]", ":", "->", "<->", "..", "<=", "=="),
+    *('"s"', '"', "1", "2.5", "-3", "F1", "X", "banana", "\n", "//"),
+)
+
+
+def _damage(rng: random.Random) -> str:
+    return " ".join(rng.choice(_DAMAGE) for _ in range(rng.randint(0, 8)))
+
+
+def test_fixtures_and_generated_models_match_reference():
+    corpus = _corpus()
+    assert len(corpus) >= 40 + 4
+    for text in corpus:
+        _same_as_reference(text)
+
+
+def test_damaged_text_matches_reference():
+    corpus = _corpus()
+    rng = random.Random(12)
+    for _ in range(1100):
+        a, b = rng.choice(corpus), rng.choice(corpus)
+        i = rng.randint(0, len(a))
+        _same_as_reference(a[:i])
+        j = min(len(a), i + rng.randint(0, 40))
+        _same_as_reference(a[:i] + _damage(rng) + a[j:])
+        _same_as_reference(a[:i] + b[rng.randint(0, len(b)) :])
