@@ -15,7 +15,7 @@ import sys
 from typing import IO, Sequence
 
 from . import knowledge, trace, variability, views
-from .diagnostics import Diagnostic, Severity, format_record, format_text
+from .diagnostics import Diagnostic, Severity, format_record, format_text, has_errors
 from .errors import ImogError
 from .model import AbstractionLevel, Model, Perspective
 from .parser import parse_file
@@ -111,9 +111,7 @@ def _report(
 ) -> int:
     for d in diags:
         _emit(err, format_record(d) if fmt == "records" else format_text(d))
-    if any(d.severity is Severity.ERROR for d in diags):
-        return EXIT_ERRORS
-    return EXIT_OK
+    return EXIT_ERRORS if has_errors(diags) else EXIT_OK
 
 
 def _payload(args, out: IO[str], text: str) -> None:

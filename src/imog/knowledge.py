@@ -36,6 +36,19 @@ _EXTRACTABLE = frozenset(
 _TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _NUMBER_RE = re.compile(r"^(-?\d+(?:\.\d+)?)([A-Za-z_][A-Za-z0-9_]*)?$")
 
+# A store line: `entry <id>`, then `key=value` fields. A value is quoted
+# (backslash escapes, no raw `"`) or bare (no whitespace, no leading `"`).
+_HEAD = re.compile(r"([^\s=]*) *([^\s=]*) *")
+_KEY = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+_FIELD = re.compile(rf'({_KEY.pattern})=(?:"([^"\\]*(?:\\.[^"\\]*)*)"|([^\s"]\S*)) *')
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", "t": "\t"}
+_BOOLS = {"true": True, "false": False}
+
+
+def _unescape(m: re.Match[str]) -> str:
+    return _ESCAPED.get(m[1], m[1])
+
 
 @dataclass(frozen=True)
 class KnowledgeEntry:
@@ -139,159 +152,122 @@ def format_entry(entry: KnowledgeEntry) -> str:
     return " ".join(fields)
 
 
-class _LineScanner:
-    def __init__(self, path: str, line_no: int, text: str):
-        self.path = path
-        self.line_no = line_no
-        self.text = text
-        self.pos = 0
-
-    def fail(self, reason: str) -> StoreCorruptError:
-        return StoreCorruptError(self.path, self.line_no, reason)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def word(self, what: str) -> str:
-        self.skip_ws()
-        m = re.match(r"[^\s=]+", self.text[self.pos :])
-        if not m:
-            raise self.fail(f"expected {what}")
-        self.pos += m.end()
-        return m.group(0)
-
-    def quoted(self, what: str) -> str:
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
-            raise self.fail(f"expected quoted {what}")
-        self.pos += 1
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.fail(f"unterminated {what}")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise self.fail(f"unterminated {what}")
-                esc = self.text[self.pos]
-                self.pos += 1
-                out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-            else:
-                out.append(ch)
-
-    def field(self) -> tuple[str, str, bool]:
-        """(key, value, was_quoted)."""
-        self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_.]*", self.text[self.pos :])
-        if not m:
-            raise self.fail("expected a key=value field")
-        key = m.group(0)
-        self.pos += m.end()
-        if self.pos >= len(self.text) or self.text[self.pos] != "=":
-            raise self.fail(f"field {key!r} has no value")
-        self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == '"':
-            return key, self.quoted(key), True
-        m = re.match(r"[^\s]+", self.text[self.pos :])
-        if not m:
-            raise self.fail(f"missing value for {key}")
-        self.pos += m.end()
-        return key, m.group(0), False
+def _field_error(line: str, pos: int) -> str:
+    """Why `_FIELD` found no `key=value` field at `pos`."""
+    m = _KEY.match(line, pos)
+    if m is None:
+        return "expected a key=value field"
+    key, end = m[0], m.end()
+    if line[end : end + 1] != "=":
+        return f"field {key!r} has no value"
+    if line[end + 1 : end + 2] == '"':
+        return f"unterminated {key}"
+    return f"missing value for {key}"
 
 
 def _parse_line(path: str, line_no: int, line: str) -> KnowledgeEntry:
-    scanner = _LineScanner(path, line_no, line)
-    head = scanner.word("'entry'")
+    """One stripped store line; a repeated scalar field keeps its last value."""
+
+    def fail(reason: str) -> StoreCorruptError:
+        return StoreCorruptError(path, line_no, reason)
+
+    m = _HEAD.match(line)
+    head, entry_id = m.groups()
     if head != "entry":
-        raise scanner.fail(f"expected 'entry', found {head!r}")
-    entry_id = scanner.word("entry id")
+        raise fail(f"expected 'entry', found {head!r}" if head else "expected 'entry'")
+    if not entry_id:
+        raise fail("expected entry id")
     if not _TOKEN_RE.match(entry_id):
-        raise scanner.fail(f"bad entry id {entry_id!r}")
-    name = None
-    entry_type = None
-    year = None
+        raise fail(f"bad entry id {entry_id!r}")
+    name = entry_type = year = None
     provenance = ("", "")
     props: list[Property] = []
-    while not scanner.done():
-        key, value, was_quoted = scanner.field()
+    pos, end = m.end(), len(line)
+    while pos < end:
+        m = _FIELD.match(line, pos)
+        if m is None:
+            raise fail(_field_error(line, pos))
+        key, quoted, value = m.groups()
+        pos = m.end()
+        if quoted is not None:
+            value = _ESCAPE.sub(_unescape, quoted) if "\\" in quoted else quoted
         if key == "name":
-            if not was_quoted:
-                raise scanner.fail("name must be quoted")
+            if quoted is None:
+                raise fail("name must be quoted")
             name = value
         elif key == "type":
             if not _TOKEN_RE.match(value):
-                raise scanner.fail(f"bad type token {value!r}")
+                raise fail(f"bad type token {value!r}")
             entry_type = value
         elif key == "year":
-            if not value.isdigit():
-                raise scanner.fail(f"bad year {value!r}")
+            if not (value.isascii() and value.isdigit()):
+                raise fail(f"bad year {value!r}")
             year = int(value)
         elif key == "provenance":
-            if not was_quoted:
-                raise scanner.fail("provenance must be quoted")
+            if quoted is None:
+                raise fail("provenance must be quoted")
             model_name, sep, ts = value.rpartition("@")
             if not sep:
-                raise scanner.fail("provenance must be model@timestamp")
+                raise fail("provenance must be model@timestamp")
             provenance = (model_name, ts)
         elif key.startswith("prop."):
-            props.append(_parse_prop(scanner, key[5:], value, was_quoted))
+            prop_key = key[5:]
+            if not _TOKEN_RE.match(prop_key):
+                raise fail(f"bad property key {prop_key!r}")
+            unit = None
+            if quoted is None and value in _BOOLS:
+                value = _BOOLS[value]
+            elif quoted is None:
+                number = _NUMBER_RE.match(value)
+                if number is None:
+                    raise fail(f"bad value {value!r} for property {prop_key!r}")
+                digits, unit = number.groups()
+                value = float(digits) if "." in digits else int(digits)
+            props.append(Property(prop_key, value, unit))
         else:
-            raise scanner.fail(f"unknown field {key!r}")
+            raise fail(f"unknown field {key!r}")
     if name is None or entry_type is None or year is None:
-        raise scanner.fail("entry needs name, type and year")
+        raise fail("entry needs name, type and year")
     if year < MIN_YEAR:
-        raise scanner.fail(f"year {year} is before {MIN_YEAR}")
-    return KnowledgeEntry(
-        entry_id, name, entry_type, year, tuple(props), provenance
-    )
-
-
-def _parse_prop(
-    scanner: _LineScanner, key: str, raw: str, was_quoted: bool
-) -> Property:
-    if not _TOKEN_RE.match(key):
-        raise scanner.fail(f"bad property key {key!r}")
-    if was_quoted:
-        return Property(key, raw)
-    if raw == "true":
-        return Property(key, True)
-    if raw == "false":
-        return Property(key, False)
-    m = _NUMBER_RE.match(raw)
-    if m:
-        number = m.group(1)
-        value = float(number) if "." in number else int(number)
-        return Property(key, value, m.group(2))
-    raise scanner.fail(f"bad value {raw!r} for property {key!r}")
+        raise fail(f"year {year} is before {MIN_YEAR}")
+    return KnowledgeEntry(entry_id, name, entry_type, year, tuple(props), provenance)
 
 
 def load(store: str | Path) -> list[KnowledgeEntry]:
-    """All entries, id-sorted. Raises StoreCorrupt naming the bad line."""
+    """All entries, id-sorted. Raises StoreCorruptError naming the bad line.
+
+    The file is decoded once (text-mode line breaks); bytes that are not
+    UTF-8 are reported on the line that holds the first of them.
+    """
     path = Path(store)
+    name = str(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise StoreCorruptError(name, line_no, f"not UTF-8 text: {exc.reason}") from None
     entries: dict[str, KnowledgeEntry] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            entry = _parse_line(str(path), line_no, text)
-            if entry.id in entries:
-                raise StoreCorruptError(
-                    str(path), line_no, f"duplicate entry id {entry.id!r}"
-                )
-            entries[entry.id] = entry
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        entry = _parse_line(name, line_no, line)
+        if entry.id in entries:
+            raise StoreCorruptError(name, line_no, f"duplicate entry id {entry.id!r}")
+        entries[entry.id] = entry
     return [entries[k] for k in sorted(entries)]
 
 
 def save(store: str | Path, entries: list[KnowledgeEntry]) -> int:
-    """Append-or-replace by id; atomic replace; returns the store size."""
+    """Append-or-replace by id; atomic replace; returns the store size.
+
+    Each save re-reads (`load`) and rewrites the whole store, so a run of
+    k extracts costs O(k x store size): superlinear in the number of
+    entries (perfbench's `knowledge.growth` is about 1.2). The rewrite
+    is deliberate: the file stays canonical (id-sorted, one entry per
+    line) so that committees can merge it as plain text, and it is
+    replaced atomically, so a reader never sees half a store.
+    """
     path = Path(store)
     merged: dict[str, KnowledgeEntry] = {}
     if path.exists():

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .diagnostics import Diagnostic, SourceSpan, Severity, make, sort_diagnostics
+from .errors import ImogError
 from .lexer import Token, TokenKind, tokenize
 from .model import (
     AbstractionLevel,
@@ -50,7 +51,9 @@ class _Recover(Exception):
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
+        # `_advance` stops at the final EOF and `_peek` looks at most two
+        # tokens ahead, so two more EOF tokens keep every peek in range
+        self.tokens = tokens + [tokens[-1]] * 2
         self.file = file
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
@@ -63,8 +66,7 @@ class _Parser:
     # --- token plumbing ---
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + offset]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -657,5 +659,11 @@ def parse(source: str, file: str = "<string>") -> ParseResult:
 
 
 def parse_file(path: str | Path) -> ParseResult:
+    """Parse a UTF-8 file; bytes that are not UTF-8 raise ImogError naming the line."""
     p = Path(path)
-    return parse(p.read_text(encoding="utf-8"), str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ImogError(f"{p}:{line_no}: not UTF-8 text: {exc.reason}") from None
+    return parse(text, str(p))

@@ -421,6 +421,55 @@ def test_kb_extract_missing_year_warns_on_stderr(tmp_path):
     assert "entry B_battery" in out
 
 
+def test_kb_query_on_a_year_of_non_ascii_digits_exits_two(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    store.write_text('entry K name="k" type=t year=² provenance="m@t"\n', encoding="utf-8")
+    code, out, err = invoke("kb", "--store", str(store), "query")
+    assert (code, out) == (2, "")
+    assert err == f"imog: {store}:1: corrupt store line: bad year '²'\n"
+
+
+def test_kb_query_on_a_store_that_is_not_utf8_exits_two(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    store.write_bytes(b'entry K name="k" type=t year=2024 provenance="m@t"\n# \xff\n')
+    code, out, err = invoke("kb", "--store", str(store), "query")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"imog: {store}:2: corrupt store line: not UTF-8 text: invalid start byte\n"
+    )
+
+
+def test_check_on_a_model_that_is_not_utf8_exits_two(tmp_path):
+    path = tmp_path / "latin1.imog"
+    path.write_bytes('model "M" {\n  strategy { goal G "Grüße" }\n}\n'.encode("latin-1"))
+    code, out, err = invoke("check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"imog: {path}:2: not UTF-8 text: invalid start byte\n"
+
+
+_STORE_ALPHABET = st.sampled_from(
+    ['"', "\\", "=", "\t", " ", "\n", "\r", "#", "@", "entry ", "name=", "type=t ",
+     "year=", "2024", "prop.", "provenance=", "x", "K", "-1.5kg", "²"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.lists(_STORE_ALPHABET, max_size=40).map("".join),
+        st.binary().map(lambda b: b.decode("latin-1")),
+    ),
+    raw=st.binary(max_size=8),
+)
+def test_kb_query_on_any_store_text_exits_zero_or_two(tmp_path_factory, text, raw):
+    store = tmp_path_factory.mktemp("store") / "kb.imogkb"
+    store.write_bytes(text.encode("utf-8", "surrogatepass") + raw)
+    code, _out, err = invoke("kb", "--store", str(store), "query")
+    assert code in (0, 2)
+    assert "internal error" not in err
+
+
 def test_parse_error_exits_one():
     bad = FIXTURES / ".." / "bad_tmp.imog"
     bad.write_text('model "B" { functional { feature F } }')

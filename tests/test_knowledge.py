@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 import imog
-from conftest import FIXTURES, golden_text, parse_fixture
+import knowledge_reference
+from conftest import FIXTURES, GOLDEN, golden_text, parse_fixture
 from imog import knowledge
 from imog.errors import KindNotExtractableError, StoreCorruptError, UnknownElementError
 from imog.knowledge import KnowledgeEntry
@@ -229,3 +231,189 @@ def test_extract_save_load_check_cycle(escooter, tmp_path):
     )
     model = imog.parse(source).model
     assert knowledge.check_kbrefs(model, store) == []
+
+
+def test_year_must_be_ascii_digits(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    for field, year in [("²", "²"), ("١٩٩٩", "١٩٩٩"), ("2O24", "2O24"), ('""', "")]:
+        store.write_text(
+            f'entry K name="k" type=t year={field} provenance="m@t"\n', encoding="utf-8"
+        )
+        with pytest.raises(StoreCorruptError) as exc:
+            knowledge.load(store)
+        assert (exc.value.line_no, exc.value.reason) == (1, f"bad year {year!r}")
+
+
+def test_store_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    good = b'entry K name="k" type=t year=2024 provenance="m@t"\n'
+    store.write_bytes(b"# seeded\n" + good + b'entry L name="\xff" type=t year=2024\n')
+    with pytest.raises(StoreCorruptError) as exc:
+        knowledge.load(store)
+    assert (exc.value.line_no, exc.value.reason) == (3, "not UTF-8 text: invalid start byte")
+
+
+def test_store_line_grammar():
+    line = (
+        r'entry K  name="a\"b\\c\nd\te\qx"type="t1" year=01999 year=2001 '
+        r'prop.s="say \"hi\"" prop.b=false prop.t="true" prop.n=-2.50kg prop.i=7 prop.u=3V '
+        r'provenance="m@odel@2026"'
+    )
+    entry = knowledge._parse_line("s", 1, line)
+    assert entry == KnowledgeEntry(
+        "K",
+        'a"b\\c\nd\teqx',
+        "t1",
+        2001,
+        (
+            Property("s", 'say "hi"'),
+            Property("b", False),
+            Property("t", "true"),
+            Property("n", -2.5, "kg"),
+            Property("i", 7),
+            Property("u", 3, "V"),
+        ),
+        ("m@odel", "2026"),
+    )
+
+
+def test_one_line_with_twenty_thousand_properties(tmp_path):
+    store = tmp_path / "wide.imogkb"
+    props = " ".join(f"prop.p{i}={i}kg" for i in range(20000))
+    store.write_text(
+        f'entry W name="wide" type=t year=2024 {props} provenance="m@t"\n',
+        encoding="utf-8",
+    )
+    (entry,) = knowledge.load(store)
+    assert entry.properties == tuple(Property(f"p{i}", i, "kg") for i in range(20000))
+
+
+# --- differential tests against the reference store reader ---
+
+_NAME_CHARS = 'ab Z_09@"\\\n\t#=é.'
+
+
+def _random_entry(rng: random.Random, i: int) -> KnowledgeEntry:
+    def text(n):
+        return "".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(0, n)))
+
+    props = []
+    for k in range(rng.randint(0, 4)):
+        value = rng.choice(
+            [True, False, rng.randint(-50, 5000), round(rng.uniform(-9, 9), 3), text(8)]
+        )
+        unit = rng.choice([None, "kg", "W"]) if type(value) in (int, float) else None
+        props.append(Property(f"p{k}_{rng.randint(0, 9)}", value, unit))
+    return KnowledgeEntry(
+        f"K{i}_{rng.randint(0, 999)}",
+        text(12),
+        rng.choice(["sensor", "block", "T_2"]),
+        rng.randint(1900, 2100),
+        tuple(props),
+        (text(6), "2026-01-01T00:00:00Z"),
+    )
+
+
+def _store_lines(rng: random.Random, n: int) -> list[str]:
+    return [knowledge.format_entry(_random_entry(rng, i)) for i in range(n)]
+
+
+_FIXTURE_LINES = [
+    line
+    for path in (
+        FIXTURES / "kb.imogkb",
+        FIXTURES / "kb_corrupt.imogkb",
+        GOLDEN / "escooter.kb_extract.imogkb",
+    )
+    for line in path.read_text(encoding="utf-8").splitlines()
+]
+
+# the characters and words every field boundary turns on, and a few
+# that only Unicode classes tell apart (no-break space, vertical tab,
+# digits outside ASCII)
+_DAMAGE = ['"', "\\", "=", "\t", " ", "prop.", "name=", "year=", "entry ", "#", "@",
+           "1", "x", " ", "\x0b", "²", "١٩٩٩", "é"]
+
+
+def _damage(rng: random.Random, line: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(line))
+        op = rng.random()
+        if op < 0.6:
+            filler = "".join(rng.choice(_DAMAGE) for _ in range(rng.randint(1, 4)))
+            line = line[:i] + filler + line[i:]
+        elif op < 0.85:
+            line = line[:i] + line[rng.randint(i, min(len(line), i + 12)) :]
+        else:
+            line = line[:i]
+    return line
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except StoreCorruptError as exc:
+        return (exc.line_no, exc.reason)
+    except ValueError as exc:  # the reference on a year such as '²'
+        return ("ValueError", str(exc))
+
+
+def _assert_same(got, want, where) -> None:
+    if got == want:
+        return
+    # the one intended difference: a year of non-ASCII digits, which the
+    # reference let through `str.isdigit`, is now a bad year
+    bad_year = isinstance(got, tuple) and re.fullmatch(r"bad year '(.*)'", got[1])
+    assert bad_year and not bad_year[1].isascii() and bad_year[1].isdigit(), (
+        where, got, want
+    )
+
+
+def _same_line(line: str) -> bool:
+    text = line.strip()
+    if not text or text.startswith("#"):
+        return False
+    _assert_same(
+        _outcome(knowledge._parse_line, "s", 7, text),
+        _outcome(knowledge_reference._parse_line, "s", 7, text),
+        text,
+    )
+    return True
+
+
+def test_store_lines_match_reference():
+    rng = random.Random(6006)
+    lines = _FIXTURE_LINES + _store_lines(rng, 300)
+    assert sum(_same_line(line) for line in lines) > 300
+
+
+def test_damaged_store_lines_match_reference():
+    rng = random.Random(6007)
+    base = _FIXTURE_LINES + _store_lines(rng, 200)
+    compared = sum(_same_line(_damage(rng, rng.choice(base))) for _ in range(4000))
+    assert compared >= 3000
+
+
+def test_whole_stores_match_reference(tmp_path):
+    rng = random.Random(6008)
+    store = tmp_path / "kb.imogkb"
+    stores = [
+        (FIXTURES / name).read_text(encoding="utf-8")
+        for name in ("kb.imogkb", "kb_corrupt.imogkb")
+    ]
+    for _ in range(150):
+        lines = _store_lines(rng, rng.randint(0, 12)) + ["", "  # note", " \t "]
+        rng.shuffle(lines)
+        if lines and rng.random() < 0.5:
+            i = rng.randrange(len(lines))
+            lines[i] = _damage(rng, lines[i])
+        if lines and rng.random() < 0.2:
+            lines.append(rng.choice(lines))  # maybe a duplicate id
+        stores.append(rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["", "\n"]))
+    for text in stores:
+        store.write_bytes(text.encode("utf-8"))
+        _assert_same(
+            _outcome(knowledge.load, store),
+            _outcome(knowledge_reference.load, store),
+            text,
+        )
