@@ -38,6 +38,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
+def _limit(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="imog", description=__doc__)
@@ -51,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vars.add_argument("file")
     g = p_vars.add_mutually_exclusive_group(required=True)
     g.add_argument("--count", action="store_true")
-    g.add_argument("--enumerate", type=int, metavar="N")
+    g.add_argument("--enumerate", type=_limit, metavar="N")
     g.add_argument("--dead", action="store_true")
     g.add_argument("--select", metavar="id=in,...")
 

@@ -33,8 +33,9 @@ _EXTRACTABLE = frozenset(
     {ElementKind.BLOCK, ElementKind.VARIANT, ElementKind.REQUIREMENT}
 )
 
-_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_NUMBER_RE = re.compile(r"^(-?\d+(?:\.\d+)?)([A-Za-z_][A-Za-z0-9_]*)?$")
+# \Z, not $, which also matches before a final "\n"; ASCII digits only
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NUMBER_RE = re.compile(r"(-?[0-9]+(?:\.[0-9]+)?)([A-Za-z_][A-Za-z0-9_]*)?\Z")
 
 # A store line: `entry <id>`, then `key=value` fields. A value is quoted
 # (backslash escapes, no raw `"`) or bare (no whitespace, no leading `"`).

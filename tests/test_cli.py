@@ -298,6 +298,17 @@ def test_vars_enumerate_records():
     assert all(l.startswith("E-Scooter,") for l in lines)
 
 
+def test_vars_enumerate_negative_limit_is_a_usage_error():
+    # slicing once turned -12 into "all but the last 12": 2 of 14 lines
+    code, out, err = invoke("vars", ESCOOTER, "--enumerate", "-12")
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "imog vars: error: argument --enumerate: must not be negative: -12\n"
+    )
+    code, out, err = invoke("vars", ESCOOTER, "--enumerate", "0")
+    assert (code, out, err) == (0, "", "")
+
+
 def test_vars_dead_empty():
     code, out, _err = invoke("vars", ESCOOTER, "--dead")
     assert code == 0

@@ -244,6 +244,28 @@ def test_year_must_be_ascii_digits(tmp_path):
         assert (exc.value.line_no, exc.value.reason) == (1, f"bad year {year!r}")
 
 
+def test_quoted_type_ending_in_a_newline_is_a_bad_token(tmp_path):
+    # `$` matched before the final "\n": the entry loaded, and the next
+    # save wrote the type unquoted across two lines
+    store = tmp_path / "kb.imogkb"
+    store.write_text('entry K name="k" type="abc\\n" year=2024\n', encoding="utf-8")
+    with pytest.raises(StoreCorruptError) as exc:
+        knowledge.load(store)
+    assert (exc.value.line_no, exc.value.reason) == (1, "bad type token 'abc\\n'")
+
+
+def test_property_numbers_take_ascii_digits_only(tmp_path):
+    # `\d` read "١٢" as 12, and the next save rewrote it so
+    store = tmp_path / "kb.imogkb"
+    store.write_text('entry K name="k" type=t year=2024 prop.n=١٢kg\n', encoding="utf-8")
+    with pytest.raises(StoreCorruptError) as exc:
+        knowledge.load(store)
+    assert (exc.value.line_no, exc.value.reason) == (
+        1,
+        "bad value '١٢kg' for property 'n'",
+    )
+
+
 def test_store_bytes_that_are_not_utf8_name_their_line(tmp_path):
     store = tmp_path / "kb.imogkb"
     good = b'entry K name="k" type=t year=2024 provenance="m@t"\n'
@@ -361,12 +383,21 @@ def _outcome(read, *args):
 def _assert_same(got, want, where) -> None:
     if got == want:
         return
-    # the one intended difference: a year of non-ASCII digits, which the
-    # reference let through `str.isdigit`, is now a bad year
-    bad_year = isinstance(got, tuple) and re.fullmatch(r"bad year '(.*)'", got[1])
-    assert bad_year and not bad_year[1].isascii() and bad_year[1].isdigit(), (
-        where, got, want
-    )
+    # the intended differences: a year of non-ASCII digits, which the
+    # reference let through `str.isdigit`, is now a bad year; a type
+    # ending in a newline, which its `$` let through, is now a bad type
+    # token; a property number with non-ASCII digits, which its `\d`
+    # read, is now a bad value
+    assert isinstance(got, tuple), (where, got, want)
+    bad_year = re.fullmatch(r"bad year '(.*)'", got[1])
+    if bad_year:
+        assert not bad_year[1].isascii() and bad_year[1].isdigit(), (where, got, want)
+        return
+    bad_type = re.fullmatch(r"bad type token '(.*)'", got[1])
+    bad_number = re.fullmatch(r"bad value '(.*)' for property '.*'", got[1])
+    assert (bad_type and bad_type[1].endswith("\\n")) or (
+        bad_number and any(c.isdigit() and not c.isascii() for c in bad_number[1])
+    ), (where, got, want)
 
 
 def _same_line(line: str) -> bool:

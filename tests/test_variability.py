@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,17 @@ from imog.errors import (
     InvalidFeatureTreeError,
     UnknownElementError,
 )
+from imog.model import (
+    Element,
+    ElementKind,
+    Model,
+    Relation,
+    RelationKind,
+    TREE_ELEMENT_KINDS,
+    TREE_KINDS,
+)
 from oracle import BruteForce, canonical_order
+import variability_reference as reference
 
 
 def parse_functional(body: str):
@@ -302,3 +313,198 @@ def test_format_configuration_record():
     model = parse_functional(ROOT_MANDATORY)
     config = variability.enumerate_configurations(model)[0]
     assert variability.format_configuration(model.name, config) == "M,M R"
+
+
+# --- the compiled engine against the brute force and the old backtracker ---
+
+_TREE_ELEMENT_KINDS = sorted(TREE_ELEMENT_KINDS)
+_TREE_KINDS = sorted(TREE_KINDS)
+
+
+def _tree_ids(model: Model) -> list[str]:
+    return sorted(e.id for e in model.elements.values() if e.kind in TREE_ELEMENT_KINDS)
+
+
+def _random_tree_model(
+    rng: random.Random,
+    lo: int,
+    hi: int,
+    *,
+    swaps: int | None = None,
+    bare_orgroups: bool = True,
+) -> Model:
+    """A valid feature tree of lo..hi nodes as a programmatic model.
+
+    With swaps=None ids are drawn at random, so sorted order, tree order
+    and declaration order all differ; otherwise sorted order is tree
+    order with that many random swaps (the old backtracker only prunes
+    well near tree order). Children come in mandatory, optional, or-group
+    (any cardinality, rarely one no selection meets, or none if
+    bare_orgroups; BruteForce needs one) and alternative relations;
+    requires/excludes include self-loops, and some roots are made
+    unsatisfiable.
+    """
+    count = rng.randint(lo, hi)
+    ids = rng.sample([f"{c}{k}" for c in "ABCDEFGH" for k in range(12)], count)
+    if swaps is not None:
+        ids.sort()
+        for _ in range(swaps):
+            i, j = rng.randrange(count), rng.randrange(count)
+            ids[i], ids[j] = ids[j], ids[i]
+    children: dict[str, list[str]] = {}
+    for i in range(1, count):
+        children.setdefault(rng.choice(ids[:i]), []).append(ids[i])
+    relations: list[Relation] = []
+    for parent, kids in children.items():
+        rng.shuffle(kids)
+        while kids:
+            kind = rng.choice(_TREE_KINDS)
+            single = kind in (RelationKind.MANDATORY, RelationKind.OPTIONAL)
+            take = 1 if single else rng.randint(1, len(kids))
+            batch, kids = tuple(kids[:take]), kids[take:]
+            cardinality = None
+            if kind is RelationKind.OR_GROUP and (
+                not bare_orgroups or rng.random() < 0.8
+            ):
+                low = rng.randint(0, len(batch))
+                cardinality = (low, rng.randint(low, len(batch)))
+                if rng.random() < 0.1:
+                    cardinality = rng.choice(((2, 1), (len(batch) + 1,) * 2))
+            relations.append(Relation(kind, parent, batch, cardinality))
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice((RelationKind.REQUIRES, RelationKind.EXCLUDES))
+        a = rng.choice(ids)
+        b = a if rng.random() < 0.15 else rng.choice(ids)
+        relations.append(Relation(kind, a, (b,)))
+    if rng.random() < 0.05:
+        relations.append(Relation(RelationKind.EXCLUDES, ids[0], (ids[0],)))
+    rng.shuffle(relations)
+    elements = [Element(i, rng.choice(_TREE_ELEMENT_KINDS), i.lower()) for i in ids]
+    elements.append(Element("BLK", ElementKind.BLOCK, "b"))
+    rng.shuffle(elements)
+    return Model("M", {e.id: e for e in elements}, tuple(relations))
+
+
+def _decision_sets(
+    rng: random.Random, ids: list[str], singles: bool, pairs: int
+) -> list[dict]:
+    sets: list[dict] = [{}]
+    if singles:
+        sets += [{x: v} for x in ids for v in (True, False)]
+    for _ in range(pairs if len(ids) > 1 else 0):
+        a, b = rng.sample(ids, 2)
+        sets.append({a: rng.random() < 0.5, b: rng.random() < 0.5})
+    return sets
+
+
+def test_compiled_engine_matches_brute_force():
+    rng = random.Random(8080)
+    for i in range(150):
+        model = _random_tree_model(rng, 1, 12, bare_orgroups=False)
+        valid = BruteForce(model).all_valid()
+        expected = canonical_order(valid)
+        ids = _tree_ids(model)
+        assert variability.count_configurations(model) == len(valid), i
+        for limit in (None, 0, 1, 10):
+            configs = variability.enumerate_configurations(model, limit)
+            assert [c.sorted_ids() for c in configs] == expected[:limit], (i, limit)
+        alive = set().union(*valid)
+        assert variability.dead_features(model) == set(ids) - alive, i
+        for decisions in _decision_sets(rng, ids, True, 10):
+            state = variability.propagate(model, decisions)
+            extensions = [
+                c for c in valid if all((x in c) == v for x, v in decisions.items())
+            ]
+            assert (state.conflict is None) == bool(extensions), (i, decisions)
+            if extensions:
+                assert state.forced_in == frozenset.intersection(*extensions)
+                assert state.forced_out == set(ids) - frozenset.union(*extensions)
+
+
+def test_compiled_engine_matches_reference():
+    # the old backtracker builds its rule closures again for every probe,
+    # which makes it slow: every tree is compared on one limit in turn
+    # and the empty selection, every 50th tree on every single decision
+    # and ten random pairs. Its dead features are the ids
+    # missing from its configurations (dead_features probes each id with
+    # the same search), checked against dead_features on every 100th tree.
+    rng = random.Random(9090)
+    for i in range(1000):
+        model = _random_tree_model(rng, 13, 20, swaps=rng.randint(0, 3))
+        ids = _tree_ids(model)
+        everything = reference.enumerate_configurations(model)
+        assert variability.count_configurations(model) == len(everything), i
+        assert variability.enumerate_configurations(model) == everything, i
+        limit = (0, 1, 10)[i % 3]
+        assert variability.enumerate_configurations(model, limit) == everything[:limit], i
+        dead = set(ids) - {x for c in everything for x in c.selected}
+        assert variability.dead_features(model) == dead, i
+        if i % 100 == 0:
+            assert dead == reference.dead_features(model), i
+        sample = i % 50 == 0
+        for decisions in _decision_sets(rng, ids, sample, 10 if sample else 0):
+            state = variability.propagate(model, decisions)
+            expected = reference.propagate(model, decisions)
+            assert (state.conflict is None) == (expected.conflict is None), (i, decisions)
+            if expected.conflict is None or expected.conflict.rule == "unsatisfiable":
+                assert state == expected, (i, decisions)
+            else:  # unit propagation found it; which rule first may differ
+                assert state.conflict.rule != "unsatisfiable", (i, decisions)
+
+
+def test_unit_propagation_matches_reference_beyond_the_budget():
+    # budget=0 returns the fixpoint alone, which the worklist must reach
+    rng = random.Random(7070)
+    for i in range(60):
+        model = _random_tree_model(rng, 5, 30)
+        ids = _tree_ids(model)
+        for decisions in _decision_sets(rng, ids, True, 10):
+            state = variability.propagate(model, decisions, budget=0)
+            expected = reference.propagate(model, decisions, budget=0)
+            assert (state.conflict is None) == (expected.conflict is None), (i, decisions)
+            if expected.conflict is None:
+                assert state == expected, (i, decisions)
+
+
+def test_wide_star_counts_and_enumerates_without_search():
+    # 2**23 configurations: the backtracker took minutes to count them
+    k = 23
+    ids = [f"F{i:02d}" for i in range(k)]
+    model = parse_functional(
+        'feature R "r" { '
+        + " ".join(f"optional {i}" for i in ids)
+        + " } "
+        + " ".join(f'feature {i} "f"' for i in ids)
+    )
+    assert variability.count_configurations(model) == 2**k
+    # every configuration holding F00..F18 precedes every one without F18
+    # (F18 sorts before F19..F22 and R), so the first 10 are the first 10
+    # of the 16 choices over F19..F22
+    tails = [
+        tuple(f for bit, f in enumerate(ids[19:]) if mask >> bit & 1)
+        for mask in range(16)
+    ]
+    expected = sorted((*ids[:19], *tail, "R") for tail in tails)[:10]
+    first = variability.enumerate_configurations(model, 10)
+    assert [c.sorted_ids() for c in first] == expected
+
+
+def test_negative_enumeration_limit_is_rejected():
+    with pytest.raises(ValueError):
+        variability.enumerate_configurations(parse_functional(ROOT_MANDATORY), -1)
+
+
+def test_unit_propagation_ignores_declaration_order():
+    # a rescan per pass moved one level per pass on a leaf-first chain
+    depth = 3000
+    parts = [
+        f'feature F{i} "f" {{ mandatory F{i + 1} }}' for i in range(depth - 1)
+    ] + [f'feature F{depth - 1} "leaf"']
+    timings = []
+    for order in (parts, parts[::-1]):
+        model = parse_functional(" ".join(order))
+        start = time.perf_counter()
+        state = variability.propagate(model, {"F1": True}, budget=0)
+        timings.append(time.perf_counter() - start)
+        assert len(state.forced_in) == depth and not state.open
+    assert max(timings) < 2 * min(timings) + 0.05, timings
