@@ -9,7 +9,6 @@ ids. Models are immutable after construction: analyses build new ones.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -200,13 +199,6 @@ def _first_cycle(
     return None
 
 
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def is_valid_id(value: str) -> bool:
-    return bool(_ID_RE.match(value))
-
-
 PropertyValue = Union[int, float, str, bool]
 
 
@@ -321,6 +313,14 @@ class ModelIndex:
         """Relations with the id as source and one of the kinds."""
         return [
             rel for _, rel in self.by_source.get(element_id, ()) if rel.kind in kinds
+        ]
+
+    def incoming(self, element_id: str, *kinds: RelationKind) -> list[Relation]:
+        """Relations of one of the kinds whose first target is the id."""
+        return [
+            rel
+            for _, rel in self.by_target.get(element_id, ())
+            if rel.kind in kinds and rel.targets[0] == element_id
         ]
 
 

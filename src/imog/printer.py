@@ -50,6 +50,16 @@ def format_number(value: int | float) -> str:
     return text
 
 
+def format_bound(body: RequirementBody) -> str:
+    """A requirement's bound as written after its comparator; "" if none."""
+    if body.bound is None:
+        return ""
+    if body.comparator == "in":
+        lo, hi = body.bound  # type: ignore[misc]
+        return f"{format_number(lo)}..{format_number(hi)}"
+    return format_number(body.bound)  # type: ignore[arg-type]
+
+
 def _format_prop_value(prop: Property) -> str:
     v = prop.value
     if isinstance(v, bool):
@@ -193,18 +203,11 @@ class _Printer:
             props = owner.properties if owner is not None else ()
             head = f"requirement {body.owner} {quote(name)} on {body.target}"
             if body.machine_checkable:
-                head += f" attr {body.attribute} {self._bound(body)}"
+                head += f" attr {body.attribute} {body.comparator} {format_bound(body)}"
                 if body.unit:
                     head += f" {body.unit}"
             self._props_block(2, props, head)
         self.emit(1, "}")
-
-    @staticmethod
-    def _bound(body: RequirementBody) -> str:
-        if body.comparator == "in":
-            lo, hi = body.bound  # type: ignore[misc]
-            return f"in {format_number(lo)}..{format_number(hi)}"
-        return f"{body.comparator} {format_number(body.bound)}"  # type: ignore[arg-type]
 
     def _structural(self) -> None:
         blocks = [

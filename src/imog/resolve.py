@@ -9,6 +9,7 @@ and solution descriptions connected.
 
 from __future__ import annotations
 
+from . import trace
 from .diagnostics import Diagnostic, make, sort_diagnostics
 from .model import (
     ElementKind,
@@ -201,23 +202,11 @@ def _check_contains_levels(model: Model) -> list[Diagnostic]:
 
 def _check_allocation(model: Model) -> list[Diagnostic]:
     diags = []
-    allocated = {
-        rel.source
-        for rel in model.relations
-        if rel.kind is RelationKind.ALLOCATE
-    }
-    allocation_targets = {
-        rel.targets[0]
-        for rel in model.relations
-        if rel.kind is RelationKind.ALLOCATE
-    }
-    contained = {
-        rel.targets[0]
-        for rel in model.relations
-        if rel.kind is RelationKind.CONTAINS
-    }
+    index = model.index
     for e in model.elements.values():
-        if e.kind in _FEATURE_FUNCTION and e.id not in allocated:
+        if e.kind in _FEATURE_FUNCTION and not index.outgoing(
+            e.id, RelationKind.ALLOCATE
+        ):
             diags.append(
                 make(
                     "W-202",
@@ -226,10 +215,8 @@ def _check_allocation(model: Model) -> list[Diagnostic]:
                     model.span_of(e.id),
                 )
             )
-        elif (
-            e.kind is ElementKind.BLOCK
-            and e.id not in allocation_targets
-            and e.id not in contained
+        elif e.kind is ElementKind.BLOCK and not index.incoming(
+            e.id, RelationKind.ALLOCATE, RelationKind.CONTAINS
         ):
             diags.append(
                 make(
@@ -259,36 +246,27 @@ def _check_requirement_attrs(model: Model) -> list[Diagnostic]:
 
 
 def _check_goal_coverage(model: Model) -> list[Diagnostic]:
-    diags = []
-    referenced = {
-        rel.targets[0]
-        for rel in model.relations
-        if rel.kind is RelationKind.REFINES_GOAL
-    }
-    for e in model.elements.values():
-        if e.kind is ElementKind.GOAL and e.id not in referenced:
-            diags.append(
-                make(
-                    "W-205",
-                    f"goal {e.id!r} is not referenced by any feature or function",
-                    [e.id],
-                    model.span_of(e.id),
-                )
-            )
-    return diags
+    index = model.index
+    return [
+        make(
+            "W-205",
+            f"goal {e.id!r} is not referenced by any feature or function",
+            [e.id],
+            model.span_of(e.id),
+        )
+        for e in model.elements.values()
+        if e.kind is ElementKind.GOAL
+        and not index.incoming(e.id, RelationKind.REFINES_GOAL)
+    ]
 
 
 def _check_empty_perspectives(model: Model) -> list[Diagnostic]:
-    diags = []
-    for perspective in Perspective:
-        if not model.elements_of_perspective(perspective):
-            diags.append(
-                make(
-                    "I-201",
-                    f"{perspective.value} perspective is empty",
-                )
-            )
-    return diags
+    present = {e.perspective for e in model.elements.values()}
+    return [
+        make("I-201", f"{perspective.value} perspective is empty")
+        for perspective in Perspective
+        if perspective not in present
+    ]
 
 
 def check_model(model: Model) -> list[Diagnostic]:
@@ -297,11 +275,9 @@ def check_model(model: Model) -> list[Diagnostic]:
     Validation and conflict analysis only run once resolution is clean,
     matching their preconditions.
     """
-    from .trace import conflict_diagnostics  # local import, avoids a cycle
-
     diags = resolve(model)
     if any(d.code == "R-101" or d.code == "R-102" for d in diags):
         return sort_diagnostics(diags)
     diags.extend(validate(model))
-    diags.extend(conflict_diagnostics(model))
+    diags.extend(trace.conflict_diagnostics(model))
     return sort_diagnostics(diags)

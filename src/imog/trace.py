@@ -138,12 +138,11 @@ _DIRECT = Origin("direct")
 def _own(index: ModelIndex, block: str) -> list[tuple[RequirementBody, Origin]]:
     """Direct bodies, then one batch per allocation edge into the block."""
     out = [(body, _DIRECT) for body in index.bodies_by_target.get(block, ())]
-    for _, rel in index.by_target.get(block, ()):
-        if rel.kind is RelationKind.ALLOCATE and rel.targets[0] == block:
-            origin = Origin("allocation", via=rel.source)
-            out.extend(
-                (body, origin) for body in index.bodies_by_target.get(rel.source, ())
-            )
+    for rel in index.incoming(block, RelationKind.ALLOCATE):
+        origin = Origin("allocation", via=rel.source)
+        out.extend(
+            (body, origin) for body in index.bodies_by_target.get(rel.source, ())
+        )
     return out
 
 
@@ -199,6 +198,17 @@ def _inherit(
     out.extend((body, origin) for body, _ in entries)
 
 
+def _buckets(model: Model, block: str) -> dict[str, dict[str | None, list]]:
+    """Checkable (body, origin) entries of one block by attribute, then unit."""
+    buckets: dict[str, dict[str | None, list]] = {}
+    for body, origin in effective_requirements(model, block):
+        if body.machine_checkable:
+            buckets.setdefault(body.attribute, {}).setdefault(body.unit, []).append(
+                (body, origin)
+            )
+    return buckets
+
+
 def find_conflicts(model: Model) -> list[ConflictGroup]:
     """Empty-intersection groups per (block, attribute, unit).
 
@@ -212,32 +222,23 @@ def find_conflicts(model: Model) -> list[ConflictGroup]:
     for block in model.elements.values():
         if block.kind is not ElementKind.BLOCK:
             continue
-        buckets: dict[tuple[str, str | None], list] = {}
-        for body, origin in effective_requirements(model, block.id):
-            if not body.machine_checkable:
-                continue
-            key = (body.attribute, body.unit)
-            buckets.setdefault(key, []).append((body, origin))
-        for (attribute, unit), entries in sorted(
-            buckets.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
-        ):
-            if len(entries) < 2:
-                continue
-            common = Interval(-math.inf, math.inf)
-            for body, _ in entries:
-                common = common.intersect(interval_of(body))
-            if common.empty:
-                groups.append(
-                    ConflictGroup(
-                        block.id,
-                        attribute,
-                        unit,
-                        tuple(
-                            (body.owner, origin, interval_of(body))
-                            for body, origin in entries
-                        ),
-                    )
+        buckets = _buckets(model, block.id)
+        for attribute in sorted(buckets):
+            units = buckets[attribute]
+            for unit in sorted(units, key=lambda u: u or ""):
+                entries = units[unit]
+                if len(entries) < 2:
+                    continue
+                requirements = tuple(
+                    (body.owner, origin, interval_of(body)) for body, origin in entries
                 )
+                common = Interval(-math.inf, math.inf)
+                for _, _, interval in requirements:
+                    common = common.intersect(interval)
+                if common.empty:
+                    groups.append(
+                        ConflictGroup(block.id, attribute, unit, requirements)
+                    )
     return groups
 
 
@@ -246,17 +247,13 @@ def _unit_mismatches(model: Model) -> list[Diagnostic]:
     for block in model.elements.values():
         if block.kind is not ElementKind.BLOCK:
             continue
-        by_attr: dict[str, dict[str | None, list[str]]] = {}
-        for body, _ in effective_requirements(model, block.id):
-            if not body.machine_checkable:
-                continue
-            by_attr.setdefault(body.attribute, {}).setdefault(
-                body.unit, []
-            ).append(body.owner)
-        for attribute in sorted(by_attr):
-            units = by_attr[attribute]
+        buckets = _buckets(model, block.id)
+        for attribute in sorted(buckets):
+            units = buckets[attribute]
             if len(units) > 1:
-                owners = sorted(o for lst in units.values() for o in lst)
+                owners = sorted(
+                    body.owner for entries in units.values() for body, _ in entries
+                )
                 unit_names = ", ".join(
                     sorted(u if u is not None else "(none)" for u in units)
                 )
@@ -360,9 +357,7 @@ def coverage_report(model: Model) -> TraceReport:
         e.id for e in model.elements.values() if e.kind is ElementKind.GOAL
     ):
         refiners = sorted(
-            rel.source
-            for _, rel in index.by_target.get(goal, ())
-            if rel.kind is RelationKind.REFINES_GOAL and rel.targets[0] == goal
+            rel.source for rel in index.incoming(goal, RelationKind.REFINES_GOAL)
         )
         goal_coverage[goal] = tuple(refiners)
     groups = sorted(

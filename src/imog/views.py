@@ -12,6 +12,7 @@ import csv
 import io
 from typing import Iterable
 
+from . import trace
 from .model import (
     AbstractionLevel,
     Element,
@@ -26,7 +27,7 @@ from .model import (
     Role,
     step_info,
 )
-from .printer import format_number
+from .printer import format_bound
 
 
 def filter_view(
@@ -209,15 +210,6 @@ TABLE_HEADER = (
 )
 
 
-def _bound_text(body: RequirementBody) -> str:
-    if body.bound is None:
-        return ""
-    if body.comparator == "in":
-        lo, hi = body.bound  # type: ignore[misc]
-        return f"{format_number(lo)}..{format_number(hi)}"
-    return format_number(body.bound)  # type: ignore[arg-type]
-
-
 def export_requirements_table(model: Model) -> str:
     """CSV table of the quality perspective, one row per requirement."""
     buffer = io.StringIO()
@@ -237,7 +229,7 @@ def export_requirements_table(model: Model) -> str:
                 target_perspective,
                 body.attribute or "",
                 body.comparator or "",
-                _bound_text(body),
+                format_bound(body),
                 body.unit or "",
                 body.rationale or "",
             ]
@@ -290,9 +282,7 @@ def _step_status(model: Model, step: ProcessStep) -> str:
 
 def roadmap_scaffold(model: Model) -> str:
     """Scaffold with one section per process step, in process order."""
-    from .trace import coverage_report  # deferred: trace imports model only
-
-    report = coverage_report(model)
+    report = trace.coverage_report(model)
     lines = [f"# Roadmap scaffold: {model.name}", ""]
     for number, step in enumerate(PROCESS_ORDER, start=1):
         info = step_info(step)

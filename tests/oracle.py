@@ -51,7 +51,7 @@ class BruteForce:
                 if rel.kind is RelationKind.MANDATORY and targets:
                     self.mandatory.append((rel.source, targets[0]))
                 elif rel.kind is RelationKind.OR_GROUP and targets:
-                    lo, hi = rel.cardinality
+                    lo, hi = rel.cardinality or (1, len(targets))
                     self.groups.append((rel.source, targets, lo, hi))
                 elif rel.kind is RelationKind.ALTERNATIVE and targets:
                     self.groups.append((rel.source, targets, 1, 1))

@@ -158,6 +158,39 @@ def test_relations_of_lists_self_and_repeated_targets_once():
     assert model.relations_of("F") == [twice]
 
 
+def test_index_incoming_reads_first_targets_in_declaration_order():
+    allocate = Relation(RelationKind.ALLOCATE, "F", ("B",))
+    group = Relation(RelationKind.OR_GROUP, "P", ("A", "B", "B"))
+    contains = Relation(RelationKind.CONTAINS, "K", ("B",))
+    dangling = Relation(RelationKind.ALLOCATE, "GHOST", ("B",))
+    repeated = Relation(RelationKind.OR_GROUP, "P", ("A", "A"))
+    model = Model(
+        "M",
+        {i: Element(i, ElementKind.BLOCK, i) for i in ("A", "B", "F", "K", "P")},
+        (allocate, group, contains, dangling, repeated),
+    )
+    index = model.index
+    assert index.incoming("B", RelationKind.ALLOCATE, RelationKind.CONTAINS) == [
+        allocate,
+        contains,
+        dangling,
+    ]
+    assert index.incoming("B", RelationKind.ALLOCATE) == [allocate, dangling]
+    assert index.incoming("B", RelationKind.OR_GROUP) == []
+    assert index.incoming("A", RelationKind.OR_GROUP) == [group, repeated]
+    assert index.incoming("GHOST", *RelationKind) == []
+    rng = random.Random(2468)
+    for i in range(10):
+        model = imog.parse(full_model_text(rng), f"gen{i}").model
+        for element_id in model.elements:
+            for kinds in ((RelationKind.ALLOCATE,), tuple(RelationKind)):
+                assert model.index.incoming(element_id, *kinds) == [
+                    r
+                    for r in model.relations
+                    if r.kind in kinds and r.targets[0] == element_id
+                ]
+
+
 def test_model_mappings_are_read_only(escooter):
     with pytest.raises(TypeError):
         escooter.elements["X"] = escooter.elements["F_root"]

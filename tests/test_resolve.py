@@ -11,6 +11,7 @@ from genmodels import full_model_text
 from imog.diagnostics import Severity
 from imog.model import Element, ElementKind, Model, Relation, RelationKind
 from imog.resolve import resolve, validate
+from imog.trace import coverage_report
 from valoracle import ValidationOracle
 
 
@@ -274,15 +275,19 @@ def _mutate(rng: random.Random, source: str) -> str:
     return source
 
 
-def test_rule_oracle_equivalence_on_generated_models():
+def _generated_models():
+    """(text, model) of each generated, possibly defective model that parses."""
     rng = random.Random(20250810)
-    checked = 0
     for i in range(120):
         text = full_model_text(rng, max_elements=20)
         result = imog.parse(_mutate(rng, text), f"oracle{i}.imog")
-        if result.model is None:
-            continue
-        model = result.model
+        if result.model is not None:
+            yield text, result.model
+
+
+def test_rule_oracle_equivalence_on_generated_models():
+    checked = 0
+    for text, model in _generated_models():
         checked += 1
         diags = resolve(model) + validate(model)
         oracle = ValidationOracle(model)
@@ -310,3 +315,21 @@ def test_rule_oracle_equivalence_on_generated_models():
         }
         assert got_r203 == oracle.r203_pairs()
     assert checked >= 100
+
+
+def test_validate_and_trace_agree_on_generated_models():
+    checked = unallocated = uncovered = 0
+    for _, model in _generated_models():
+        if resolve(model):
+            continue
+        checked += 1
+        diags = validate(model)
+        report = coverage_report(model)
+        flagged = lambda code: {d.elements[0] for d in diags if d.code == code}
+        assert flagged("W-202") == set(report.unallocated)
+        assert flagged("W-205") == {
+            goal for goal, refiners in report.goal_coverage.items() if not refiners
+        }
+        unallocated += bool(report.unallocated)
+        uncovered += bool(flagged("W-205"))
+    assert checked >= 80 and unallocated and uncovered

@@ -331,7 +331,6 @@ def _random_tree_model(
     hi: int,
     *,
     swaps: int | None = None,
-    bare_orgroups: bool = True,
 ) -> Model:
     """A valid feature tree of lo..hi nodes as a programmatic model.
 
@@ -339,10 +338,9 @@ def _random_tree_model(
     and declaration order all differ; otherwise sorted order is tree
     order with that many random swaps (the old backtracker only prunes
     well near tree order). Children come in mandatory, optional, or-group
-    (any cardinality, rarely one no selection meets, or none if
-    bare_orgroups; BruteForce needs one) and alternative relations;
-    requires/excludes include self-loops, and some roots are made
-    unsatisfiable.
+    (any cardinality, rarely one no selection meets, or none) and
+    alternative relations; requires/excludes include self-loops, and some
+    roots are made unsatisfiable.
     """
     count = rng.randint(lo, hi)
     ids = rng.sample([f"{c}{k}" for c in "ABCDEFGH" for k in range(12)], count)
@@ -363,9 +361,7 @@ def _random_tree_model(
             take = 1 if single else rng.randint(1, len(kids))
             batch, kids = tuple(kids[:take]), kids[take:]
             cardinality = None
-            if kind is RelationKind.OR_GROUP and (
-                not bare_orgroups or rng.random() < 0.8
-            ):
+            if kind is RelationKind.OR_GROUP and rng.random() < 0.8:
                 low = rng.randint(0, len(batch))
                 cardinality = (low, rng.randint(low, len(batch)))
                 if rng.random() < 0.1:
@@ -400,7 +396,7 @@ def _decision_sets(
 def test_compiled_engine_matches_brute_force():
     rng = random.Random(8080)
     for i in range(150):
-        model = _random_tree_model(rng, 1, 12, bare_orgroups=False)
+        model = _random_tree_model(rng, 1, 12)
         valid = BruteForce(model).all_valid()
         expected = canonical_order(valid)
         ids = _tree_ids(model)
