@@ -6,11 +6,16 @@ digits or `_`. Numbers are decimal digits with an optional fraction and
 no exponent; `1..2` lexes as two numbers around a range separator
 because a fraction dot must be followed by a digit.
 
-Cost: linear in the source length. One compiled master pattern (the
-`re` module's "Writing a Tokenizer" recipe) makes one match per token
-and per run of trivia; only strings with escapes or without their
-closing quote take a slower path, one match per run of plain
-characters. A token is a plain tuple; its `SourceSpan` is built only
+Cost: linear in the source length. No token spans lines (a string
+cannot hold a raw newline and a comment ends at one), so the source is
+split on newlines and one `findall` per line on a master pattern reads
+every token with the blanks before it; the line number is the line's
+index and the column a running sum of match lengths. An unusual token
+is read on its own, and the rest of its line one match at a time: a
+string with escapes or without its closing quote (read one run of
+plain characters at a time, in the source, so that the line's newline
+ends it), a lone `=`, a word starting with a non-letter, or a stray
+character. A token is a plain tuple; its `SourceSpan` is built only
 when asked for.
 """
 
@@ -116,18 +121,22 @@ _SYMBOLS = {
     **{op: TokenKind.CMP for op in ("<", ">", "<=", ">=", "==")},
 }
 
-# `\w` also holds digits such as '²' and '½' that are not letters; a word
-# starting with one is rejected in `tokenize`, as identifiers must start
-# with a letter or `_`. Numbers take only decimal digits, which `int()`
-# and `float()` accept.
+# One match per token, with the blanks before it folded in: groups are
+# (blanks, word, symbol, string, number, comment, other). No token spans
+# lines, so `tokenize` matches one line at a time and no group meets a
+# newline. `\w` also holds digits such as '²' and '½' that are not
+# letters; a word starting with one is rejected in `tokenize`, as
+# identifiers must start with a letter or `_`. Numbers take only decimal
+# digits, which `int()` and `float()` accept.
 _TOKEN = re.compile(
-    r"""(?P<trivia>(?:[ \t\r\n]+|//[^\n]*)+)
-      | (?P<word>[^\W\d]\w*)
-      | (?P<symbol>[{}\[\]:]|->|<->|[<>=]=?|\.\.)
-      | (?P<string>"[^"\\\n]*")
-      | (?P<number>-?\d+(?:\.\d+)?)
-      | (?P<quote>")
-    """,
+    r"""([ \t\r]*)
+    (?: ([^\W\d]\w*)
+      | ([{}\[\]:]|->|<->|[<>=]=?|\.\.)
+      | ("[^"\\\n]*")
+      | (-?\d+(?:\.\d+)?)
+      | (//.*)
+      | ([^ \t\r\n])
+    )""",
     re.VERBOSE,
 )
 _PLAIN = re.compile(r'[^"\\\n]*')
@@ -138,69 +147,81 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    append = tokens.append
-    match = _TOKEN.match
+    append, new, findall = tokens.append, tuple.__new__, _TOKEN.findall
+    IDENT, KEYWORD, STRING, NUMBER = (
+        TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.STRING, TokenKind.NUMBER
+    )
+    keywords, symbols = KEYWORDS, _SYMBOLS
 
     def error(message: str, col: int, end_col: int) -> None:
         span = SourceSpan(file, line, col, line, end_col)
         diagnostics.append(make("P-001", message, span=span))
 
-    pos, line, line_start, size = 0, 1, 0, len(source)
-    while pos < size:
-        col = pos - line_start + 1
-        m = match(source, pos)
-        if m is None:
-            error(f"unexpected character {source[pos]!r}", col, col)
-            pos += 1
-            continue
-        group, end, text = m.lastgroup, m.end(), m.group()
-        if group == "trivia":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", pos, end) + 1
-            pos = end
-            continue
-        value: object = text
-        if group == "word":
-            if not (text[0].isalpha() or text[0] == "_"):
-                error(f"unexpected character {text[0]!r}", col, col)
-                pos += 1
-                continue
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        elif group == "symbol":
-            if text == "=":
-                error("unexpected character '='", col, col)
-                text = value = "=="  # degrade gracefully
-            kind = _SYMBOLS[text]
-        elif group == "string":
-            kind, value = TokenKind.STRING, text[1:-1]
-        elif group == "number":
-            kind, value = TokenKind.NUMBER, float(text) if "." in text else int(text)
-        else:  # a string with escapes, or without its closing quote
-            chars: list[str] = []
-            while True:
-                run = _PLAIN.match(source, end).end()
-                chars.append(source[end:run])
-                end = run
-                ch = source[end : end + 1]
-                if ch == '"':
-                    end += 1
-                    break
-                if ch != "\\":
-                    error("unterminated string", col, end - line_start)
-                    break
-                escape = source[end + 1 : end + 2]
-                if escape in _ESCAPES:
-                    chars.append(_ESCAPES[escape])
-                    end += 2
+    offset = 0  # where the line starts in `source`
+    for line, text in enumerate(source.split("\n"), 1):
+        pos, groups = 0, findall(text)
+        while True:
+            col = pos + 1
+            for blanks, word, symbol, string, number, comment, other in groups:
+                col += len(blanks)
+                if word:
+                    if not (word[0].isalpha() or word[0] == "_"):
+                        break
+                    kind = KEYWORD if word in keywords else IDENT
+                    lexeme, value = word, word
+                elif string:
+                    lexeme, kind, value = string, STRING, string[1:-1]
+                elif symbol and symbol != "=":
+                    lexeme, kind, value = symbol, symbols[symbol], symbol
+                elif number:
+                    value = float(number) if "." in number else int(number)
+                    lexeme, kind = number, NUMBER
+                elif comment:
+                    continue  # it runs to the end of the line
                 else:
-                    end += 1
-                    error(f"unknown escape \\{escape}", col, end - line_start)
-            value = "".join(chars)
-            kind, text = TokenKind.STRING, f'"{value}"'
-        append(Token(kind, text, value, file, line, col, end - line_start))
-        pos = end
-    col = pos - line_start + 1
+                    break
+                end = col + len(lexeme)
+                append(new(Token, (kind, lexeme, value, file, line, col, end - 1)))
+                col = end
+            else:
+                break  # the line is done
+            # An unusual token at `col`: a word starting with a non-letter,
+            # a lone '=', a stray character, or a string with escapes or
+            # without its closing quote.
+            ch = (word or symbol or other)[0]
+            if ch != '"':
+                error(f"unexpected character {ch!r}", col, col)
+                if ch == "=":  # degrade gracefully
+                    append(Token(TokenKind.CMP, "==", "==", file, line, col, col))
+                pos = col
+            else:  # read in `source`, where the line's newline ends it
+                chars: list[str] = []
+                end = offset + col
+                while True:
+                    run = _PLAIN.match(source, end).end()
+                    chars.append(source[end:run])
+                    end = run
+                    ch = source[end : end + 1]
+                    if ch == '"':
+                        end += 1
+                        break
+                    if ch != "\\":
+                        error("unterminated string", col, end - offset)
+                        break
+                    escape = source[end + 1 : end + 2]
+                    if escape in _ESCAPES:
+                        chars.append(_ESCAPES[escape])
+                        end += 2
+                    else:
+                        end += 1
+                        error(f"unknown escape \\{escape}", col, end - offset)
+                pos = end - offset
+                value = "".join(chars)
+                append(Token(STRING, f'"{value}"', value, file, line, col, pos))
+            # the rest of the line one match at a time, so that many unusual
+            # tokens on one line still cost time linear in its length
+            groups = (m.groups() for m in _TOKEN.finditer(text, pos))
+        offset += len(text) + 1
+    col = len(text) + 1
     append(Token(TokenKind.EOF, "", None, file, line, col, col))
     return tokens, diagnostics

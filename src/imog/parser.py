@@ -34,6 +34,21 @@ from .model import (
     RequirementBody,
 )
 
+# Token kinds as module globals: on Python 3.11 reading a member off the
+# Enum class costs about 0.1 µs, ten times a global read, and the parser
+# tests kinds on every token.
+_IDENT, _KEYWORD, _STRING, _NUMBER = (
+    TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.STRING, TokenKind.NUMBER
+)
+_LBRACE, _RBRACE, _LBRACKET, _RBRACKET = (
+    TokenKind.LBRACE, TokenKind.RBRACE, TokenKind.LBRACKET, TokenKind.RBRACKET
+)
+_COLON, _ARROW, _BIARROW, _DOTDOT = (
+    TokenKind.COLON, TokenKind.ARROW, TokenKind.BIARROW, TokenKind.DOTDOT
+)
+_CMP, _EOF = TokenKind.CMP, TokenKind.EOF
+_WORDS = (_IDENT, _KEYWORD)
+
 
 @dataclass(frozen=True)
 class ParseResult:
@@ -51,8 +66,8 @@ class _Recover(Exception):
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
-        # `_advance` stops at the final EOF and `_peek` looks at most two
-        # tokens ahead, so two more EOF tokens keep every peek in range
+        # `_advance` stops at the final EOF and no lookahead reads more
+        # than two tokens ahead, so two more EOF tokens keep it in range
         self.tokens = tokens + [tokens[-1]] * 2
         self.file = file
         self.pos = 0
@@ -70,7 +85,7 @@ class _Parser:
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
@@ -81,7 +96,7 @@ class _Parser:
         return SourceSpan(self.file, first.line, first.col, last.line, last.end_col)
 
     def _describe(self, tok: Token) -> str:
-        if tok.kind is TokenKind.EOF:
+        if tok.kind is _EOF:
             return "end of input"
         return repr(tok.lexeme)
 
@@ -99,9 +114,10 @@ class _Parser:
         raise _Recover
 
     def _expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self._peek()
-        if tok.kind is kind:
-            return self._advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is kind:  # never EOF, so the position may move
+            self.pos += 1
+            return tok
         self._fail(f"expected {what}, found {self._describe(tok)}")
 
     def _expect_word(self, word: str) -> Token:
@@ -111,18 +127,20 @@ class _Parser:
         self._fail(f"expected '{word}', found {self._describe(tok)}")
 
     def _ident(self, what: str = "identifier") -> Token:
-        tok = self._peek()
-        if tok.kind is TokenKind.IDENT:
-            return self._advance()
-        if tok.kind is TokenKind.KEYWORD:
+        tok = self.tokens[self.pos]
+        if tok.kind is _IDENT:
+            self.pos += 1
+            return tok
+        if tok.kind is _KEYWORD:
             self._fail(f"keyword {tok.lexeme!r} cannot be used as an {what}")
         self._fail(f"expected {what}, found {self._describe(tok)}")
 
     def _word_token(self, what: str) -> Token:
         """A bare token position (property key, attribute, type): keywords allowed."""
-        tok = self._peek()
-        if tok.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
-            return self._advance()
+        tok = self.tokens[self.pos]
+        if tok.kind in _WORDS:
+            self.pos += 1
+            return tok
         self._fail(f"expected {what}, found {self._describe(tok)}")
 
     def _sync(self, words: Container[str]) -> None:
@@ -130,11 +148,11 @@ class _Parser:
         depth = 0
         while True:
             tok = self._peek()
-            if tok.kind is TokenKind.EOF:
+            if tok.kind is _EOF:
                 return
-            if tok.kind is TokenKind.LBRACE:
+            if tok.kind is _LBRACE:
                 depth += 1
-            elif tok.kind is TokenKind.RBRACE:
+            elif tok.kind is _RBRACE:
                 if depth == 0:
                     return
                 depth -= 1
@@ -166,19 +184,19 @@ class _Parser:
         while True:  # retry the header at each later 'model' word
             try:
                 self._expect_word("model")
-                name_tok = self._expect(TokenKind.STRING, "model name string")
+                name_tok = self._expect(_STRING, "model name string")
                 self.model_name = str(name_tok.value)
-                self._expect(TokenKind.LBRACE, "'{'")
+                self._expect(_LBRACE, "'{'")
                 break
             except _Recover:
-                if self._peek().kind is not TokenKind.EOF:
+                if self._peek().kind is not _EOF:
                     self._advance()
                 self._sync(("model",))
-                if self._peek().kind is TokenKind.EOF:
+                if self._peek().kind is _EOF:
                     return
         self._statements(self._SECTIONS, unknown="expected a section, found {}")
         tail = self._peek()
-        if tail.kind is not TokenKind.EOF:
+        if tail.kind is not _EOF:
             self._error(
                 f"unexpected content after model: {self._describe(tail)}"
             )
@@ -197,18 +215,19 @@ class _Parser:
         After a diagnostic, parsing resumes at the next of those keywords
         (or the body's `}`) at this brace depth.
         """
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.RBRACE:
-                self._advance()
+            tok = tokens[self.pos]
+            if tok.kind is _RBRACE:
+                self.pos += 1
                 return
-            if tok.kind is TokenKind.EOF:
+            if tok.kind is _EOF:
                 self._error(at_eof)
                 return
             handler = handlers.get(tok.lexeme)
             try:
                 if handler is None:
-                    self._advance()
+                    self.pos += 1
                     self._fail(unknown.format(self._describe(tok)), tok.span)
                 handler(self, owner)
             except _Recover:
@@ -216,7 +235,7 @@ class _Parser:
 
     def _section(self, _owner: None, statements: dict) -> None:
         self._advance()  # section keyword
-        self._expect(TokenKind.LBRACE, "'{'")
+        self._expect(_LBRACE, "'{'")
         self._statements(statements)
 
     # --- strategy ---
@@ -226,7 +245,7 @@ class _Parser:
     ) -> None:
         start = self._advance()  # statement keyword
         id_tok = self._ident()
-        name = str(self._expect(TokenKind.STRING, "name string").value)
+        name = str(self._expect(_STRING, "name string").value)
         props: tuple[Property, ...] = ()
         if props_allowed and self._looks_like_props():
             props = self._props()
@@ -240,7 +259,7 @@ class _Parser:
     def _feature_like(self, _owner: None, kind: ElementKind) -> None:
         start = self._advance()
         id_tok = self._ident()
-        name = str(self._expect(TokenKind.STRING, "name string").value)
+        name = str(self._expect(_STRING, "name string").value)
         level = None
         if self._peek().is_word("level"):
             self._advance()
@@ -252,7 +271,7 @@ class _Parser:
             Element(id_tok.lexeme, kind, name, level=level, properties=props),
             self._span(start),
         )
-        if self._peek().kind is TokenKind.LBRACE:
+        if self._peek().kind is _LBRACE:
             self._advance()
             self._statements(
                 self._FEATURE_BODY,
@@ -267,11 +286,11 @@ class _Parser:
 
     def _orgroup(self, parent: str) -> None:
         start = self._advance()
-        self._expect(TokenKind.LBRACKET, "'['")
-        lo_tok = self._expect(TokenKind.NUMBER, "lower bound")
-        self._expect(TokenKind.DOTDOT, "'..'")
-        hi_tok = self._expect(TokenKind.NUMBER, "upper bound")
-        self._expect(TokenKind.RBRACKET, "']'")
+        self._expect(_LBRACKET, "'['")
+        lo_tok = self._expect(_NUMBER, "lower bound")
+        self._expect(_DOTDOT, "'..'")
+        hi_tok = self._expect(_NUMBER, "upper bound")
+        self._expect(_RBRACKET, "']'")
         card_span = self._span(lo_tok, hi_tok)
         members = self._id_group()
         ok = True
@@ -311,7 +330,7 @@ class _Parser:
     def _alternative(self, parent: str) -> None:
         start = self._advance()
         vp_tok = self._ident()
-        name = str(self._expect(TokenKind.STRING, "variation point label").value)
+        name = str(self._expect(_STRING, "variation point label").value)
         members = self._id_group()
         span = self._span(start)
         if len(members) < 2:
@@ -336,17 +355,17 @@ class _Parser:
             )
 
     def _id_group(self) -> list[str]:
-        self._expect(TokenKind.LBRACE, "'{'")
+        self._expect(_LBRACE, "'{'")
         ids = [self._ident().lexeme]
-        while self._peek().kind is TokenKind.IDENT:
+        while self._peek().kind is _IDENT:
             ids.append(self._advance().lexeme)
-        self._expect(TokenKind.RBRACE, "'}'")
+        self._expect(_RBRACE, "'}'")
         return ids
 
     def _xrel(self, _owner: None, kind: RelationKind) -> None:
         start = self._advance()
         a = self._ident().lexeme
-        self._expect(TokenKind.ARROW, "'->'")
+        self._expect(_ARROW, "'->'")
         b = self._ident().lexeme
         self._relate(Relation(kind, a, (b,)), self._span(start))
 
@@ -355,7 +374,7 @@ class _Parser:
     def _requirement(self, _owner: None) -> None:
         start = self._advance()
         id_tok = self._ident()
-        name = str(self._expect(TokenKind.STRING, "name string").value)
+        name = str(self._expect(_STRING, "name string").value)
         self._expect_word("on")
         target = self._ident("target id").lexeme
         attribute = comparator = unit = None
@@ -396,9 +415,9 @@ class _Parser:
         tok = self._peek()
         if tok.is_word("in"):
             self._advance()
-            lo_tok = self._expect(TokenKind.NUMBER, "range lower bound")
-            self._expect(TokenKind.DOTDOT, "'..'")
-            hi_tok = self._expect(TokenKind.NUMBER, "range upper bound")
+            lo_tok = self._expect(_NUMBER, "range lower bound")
+            self._expect(_DOTDOT, "'..'")
+            hi_tok = self._expect(_NUMBER, "range upper bound")
             lo, hi = float(lo_tok.value), float(hi_tok.value)
             if lo > hi:
                 self._fail(
@@ -407,15 +426,15 @@ class _Parser:
                     "P-003",
                 )
             return attribute, "in", (lo, hi)
-        if tok.kind is TokenKind.CMP:
+        if tok.kind is _CMP:
             comparator = self._advance().lexeme
-            value = self._expect(TokenKind.NUMBER, "bound").value
+            value = self._expect(_NUMBER, "bound").value
             return attribute, comparator, value
         self._fail(f"expected comparator, found {self._describe(tok)}")
 
     def _optional_unit(self) -> str | None:
         tok = self._peek()
-        if tok.kind is TokenKind.IDENT and self._peek(1).kind is not TokenKind.COLON:
+        if tok.kind is _IDENT and self._peek(1).kind is not _COLON:
             return self._advance().lexeme
         return None
 
@@ -424,7 +443,7 @@ class _Parser:
     def _block(self, _owner: None) -> None:
         start = self._advance()
         id_tok = self._ident()
-        name = str(self._expect(TokenKind.STRING, "name string").value)
+        name = str(self._expect(_STRING, "name string").value)
         self._expect_word("level")
         level = self._level()
         props: tuple[Property, ...] = ()
@@ -436,7 +455,7 @@ class _Parser:
             ),
             self._span(start),
         )
-        if self._peek().kind is TokenKind.LBRACE:
+        if self._peek().kind is _LBRACE:
             self._advance()
             self._statements(
                 self._BLOCK_BODY,
@@ -447,7 +466,7 @@ class _Parser:
     def _variant(self, block: str | None) -> None:
         start = self._advance()
         v_tok = self._ident()
-        name = str(self._expect(TokenKind.STRING, "name string").value)
+        name = str(self._expect(_STRING, "name string").value)
         props: tuple[Property, ...] = ()
         if self._looks_like_props():
             props = self._props()
@@ -474,9 +493,9 @@ class _Parser:
     def _effect(self, _owner: None) -> None:
         start = self._advance()
         a = self._ident().lexeme
-        self._expect(TokenKind.ARROW, "'->'")
+        self._expect(_ARROW, "'->'")
         b = self._ident().lexeme
-        label = str(self._expect(TokenKind.STRING, "effect label").value)
+        label = str(self._expect(_STRING, "effect label").value)
         self._relate(
             Relation(RelationKind.EFFECT, a, (b,), label=label),
             self._span(start),
@@ -485,9 +504,9 @@ class _Parser:
     def _channel(self, _owner: None) -> None:
         start = self._advance()
         a = self._ident().lexeme
-        self._expect(TokenKind.BIARROW, "'<->'")
+        self._expect(_BIARROW, "'<->'")
         b = self._ident().lexeme
-        label = str(self._expect(TokenKind.STRING, "channel label").value)
+        label = str(self._expect(_STRING, "channel label").value)
         props: tuple[Property, ...] = ()
         if self._looks_like_props():
             props = self._props()
@@ -511,11 +530,11 @@ class _Parser:
     def _entry(self, _owner: None) -> None:
         start = self._advance()
         id_tok = self._ident()
-        name = str(self._expect(TokenKind.STRING, "name string").value)
+        name = str(self._expect(_STRING, "name string").value)
         self._expect_word("type")
         type_tok = self._word_token("type token")
         self._expect_word("year")
-        year_tok = self._expect(TokenKind.NUMBER, "year")
+        year_tok = self._expect(_NUMBER, "year")
         if not isinstance(year_tok.value, int) or year_tok.value < 0:
             self._fail("year must be a natural number", year_tok.span, "P-003")
         props = [
@@ -549,26 +568,28 @@ class _Parser:
         return level
 
     def _looks_like_props(self) -> bool:
+        tokens, pos = self.tokens, self.pos
         return (
-            self._peek().kind is TokenKind.LBRACE
-            and self._peek(1).kind in (TokenKind.IDENT, TokenKind.KEYWORD)
-            and self._peek(2).kind is TokenKind.COLON
+            tokens[pos].kind is _LBRACE
+            and tokens[pos + 1].kind in _WORDS
+            and tokens[pos + 2].kind is _COLON
         )
 
     def _props(self, seen: set[str] | None = None) -> tuple[Property, ...]:
-        self._expect(TokenKind.LBRACE, "'{'")
+        self._expect(_LBRACE, "'{'")
         seen = set() if seen is None else set(seen)
         props: list[Property] = []
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.RBRACE:
-                self._advance()
+            tok = tokens[self.pos]
+            if tok.kind is _RBRACE:
+                self.pos += 1
                 return tuple(props)
-            if tok.kind is TokenKind.EOF:
+            if tok.kind is _EOF:
                 self._error("unexpected end of input in property block")
                 return tuple(props)
             key_tok = self._word_token("property key")
-            self._expect(TokenKind.COLON, "':'")
+            self._expect(_COLON, "':'")
             value, unit = self._prop_value()
             if key_tok.lexeme in seen:
                 self._error(
@@ -582,10 +603,10 @@ class _Parser:
 
     def _prop_value(self):
         tok = self._peek()
-        if tok.kind is TokenKind.NUMBER:
+        if tok.kind is _NUMBER:
             self._advance()
             return tok.value, self._optional_unit()
-        if tok.kind is TokenKind.STRING:
+        if tok.kind is _STRING:
             self._advance()
             return str(tok.value), None
         if tok.is_word("true") or tok.is_word("false"):

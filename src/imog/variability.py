@@ -462,63 +462,70 @@ def _unit_propagation(
     fixpoint is unique; with one, the values set so far are returned.
     """
     value: dict[str, bool] = dict(decisions)
-    # (rule, elements, args): a group's args are (lo, hi); a pair rule's
-    # are (x, vx, y, vy), read as "x = vx forces y = vy", and therefore
-    # "y = not vy forces x = not vx"
-    rules: list[tuple[str, tuple[str, ...], tuple]] = []
-    if graph.root is not None:
-        rules.append(("root", (graph.root,), ()))
-    rules += [("parent", (p, c), (c, True, p, True)) for p, c in graph.parent_edges]
-    rules += [("mandatory", (p, c), (p, True, c, True)) for p, c in graph.mandatory]
+    if graph.root is not None:  # unconditional: applied before the worklist
+        if value.get(graph.root) is False:
+            return value, RuleConflict("root", (graph.root,))
+        value[graph.root] = True
+    # (rule, elements, lo, hi) for a group; (rule, elements, x, vx, y, vy)
+    # for a pair rule, read as "x = vx forces y = vy", and therefore
+    # "y = not vy forces x = not vx". A visit reads its rule in place and
+    # assigns directly, so visiting a pair rule allocates nothing.
+    rules: list[tuple] = [
+        ("parent", (p, c), c, True, p, True) for p, c in graph.parent_edges
+    ]
+    rules += [("mandatory", (p, c), p, True, c, True) for p, c in graph.mandatory]
     for parent, members, lo, hi in graph.groups:
         rule = "alternative" if (lo, hi) == (1, 1) else "orgroup"
-        rules.append((rule, (parent, *members), (lo, hi)))
-    rules += [("requires", (a, b), (a, True, b, True)) for a, b in graph.requires]
-    rules += [("excludes", (a, b), (a, True, b, False)) for a, b in graph.excludes]
+        rules.append((rule, (parent, *members), lo, hi))
+    rules += [("requires", (a, b), a, True, b, True) for a, b in graph.requires]
+    rules += [("excludes", (a, b), a, True, b, False) for a, b in graph.excludes]
     watchers: dict[str, list[int]] = {}
-    for k, (_, ids, _) in enumerate(rules):
-        for node in ids:
+    for k, rule in enumerate(rules):
+        for node in rule[1]:
             watchers.setdefault(node, []).append(k)
     queue = list(range(len(rules)))
     queued = [True] * len(rules)
 
     for k in queue:  # also visits the rules appended while it runs
         queued[k] = False  # a group can break its own bounds: lo > hi
-        rule, ids, args = rules[k]
-        if rule == "root":
-            sets = [(ids[0], True)]
-        elif len(args) == 2:
-            lo, hi = args
-            parent = value.get(ids[0])
-            selected = sum(1 for m in ids[1:] if value.get(m) is True)
-            undecided = [m for m in ids[1:] if value.get(m) is None]
-            if selected > hi or (
-                parent is True and selected + len(undecided) < lo
-            ):
-                return value, RuleConflict(rule, ids)
-            sets = []
-            if parent is False or (parent is True and selected == hi):
-                sets = [(m, False) for m in undecided]
-            elif parent is True and selected + len(undecided) == lo:
-                sets = [(m, True) for m in undecided]
-        else:
-            x, vx, y, vy = args
+        rule = rules[k]
+        if len(rule) == 6:
+            name, ids, x, vx, y, vy = rule
             if value.get(x) is vx:
-                sets = [(y, vy)]
+                node, v = y, vy
             elif value.get(y) is (not vy):
-                sets = [(x, not vx)]
+                node, v = x, not vx
             else:
-                sets = []
-        for node, v in sets:
+                continue
             cur = value.get(node)
-            if cur is None:
-                value[node] = v
-                for j in watchers[node]:
-                    if not queued[j]:
-                        queued[j] = True
-                        queue.append(j)
-            elif cur != v:
-                return value, RuleConflict(rule, ids)
+            if cur is not None:
+                if cur != v:
+                    return value, RuleConflict(name, ids)
+                continue
+            value[node] = v
+            for j in watchers[node]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+            continue
+        name, ids, lo, hi = rule
+        parent = value.get(ids[0])
+        selected = sum(1 for m in ids[1:] if value.get(m) is True)
+        undecided = [m for m in ids[1:] if value.get(m) is None]
+        if selected > hi or (parent is True and selected + len(undecided) < lo):
+            return value, RuleConflict(name, ids)
+        if parent is False or (parent is True and selected == hi):
+            v = False
+        elif parent is True and selected + len(undecided) == lo:
+            v = True
+        else:
+            continue
+        for node in undecided:
+            value[node] = v
+            for j in watchers[node]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
     return value, None
 
 

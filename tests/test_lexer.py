@@ -6,12 +6,16 @@ lexes without raising, both must give the same tokens (kind, lexeme,
 value with its type, span) and the same P-001 diagnostics. Inputs are
 the fixtures and goldens, generated models, random strings over the
 characters that decide token boundaries, and spliced or overwritten
-fixture text.
+fixture text. The tokenizer matches one line at a time, so the named
+line-boundary cases and a newline-dense random stream pin what happens
+where a line ends.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from conftest import FIXTURES
 from genmodels import LEXER_ALPHABET, full_model_text
@@ -61,6 +65,56 @@ def test_random_strings():
         _matches_reference(_random_text(rng, rng.randint(0, 24))) for _ in range(20000)
     )
     assert compared == 20000
+
+
+def test_random_newline_dense_strings():
+    alphabet = LEXER_ALPHABET + ("\n", "\\", '"') * 8
+    rng = random.Random(22)
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 32)))
+        assert _matches_reference(text)
+
+
+# source -> (line, column) of its EOF token
+LINE_BOUNDARY_CASES = {
+    "backslash ends a line inside a string": ('a "x\\\nb "y"', (2, 6)),
+    "backslash ends the source inside a string": ('a\n"x\\', (2, 4)),
+    "crlf line breaks": ('model "M" {\r\n}\r\n', (3, 1)),
+    "lone carriage return": ('a\rb "c"\r', (1, 9)),
+    "last line without a newline": ("a\nb", (2, 2)),
+    "empty source": ("", (1, 1)),
+    "only newlines": ("\n\n\n", (4, 1)),
+    "comment on the last line": ('a\n// end "x', (2, 10)),
+    "trailing blanks": ("a  \t\n  b \t ", (2, 7)),
+    "form feed mid-line": ('a \f b "c"', (1, 10)),
+    "no-break space mid-line": ("a\xa0b: 1", (1, 7)),
+    "lone = mid-line": ("x = 1 y", (1, 8)),
+    "non-letter word start mid-line": ("a ½b c", (1, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_BOUNDARY_CASES))
+def test_line_boundaries(case):
+    source, eof = LINE_BOUNDARY_CASES[case]
+    assert _matches_reference(source)
+    tokens, _ = tokenize(source, "lex.imog")
+    assert (tokens[-1].kind, tokens[-1].line, tokens[-1].col) == (TokenKind.EOF, *eof)
+
+
+def test_superscript_digit_mid_line():
+    # the reference reads '²' into int(), so the expectation is written out
+    tokens, diagnostics = tokenize("a ²b = 1", "d.imog")
+    assert [(t.kind, t.lexeme, t.col, t.end_col) for t in tokens] == [
+        (TokenKind.IDENT, "a", 1, 1),
+        (TokenKind.IDENT, "b", 4, 4),
+        (TokenKind.CMP, "==", 6, 6),
+        (TokenKind.NUMBER, "1", 8, 8),
+        (TokenKind.EOF, "", 9, 9),
+    ]
+    assert [(d.message, d.span.start_col) for d in diagnostics] == [
+        ("unexpected character '²'", 3),
+        ("unexpected character '='", 6),
+    ]
 
 
 def test_spliced_and_overwritten_fixture_text():
