@@ -23,9 +23,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostic, make, sort_diagnostics
-from .errors import KindNotExtractableError, StoreCorruptError, UnknownElementError
+from .errors import ImogError, KindNotExtractableError, StoreCorruptError
+from .errors import UnknownElementError
 from .model import ElementKind, Model, Property, RelationKind
-from .printer import escape_string, format_number
+from .lexer import read_number
+from .printer import escape_string, format_value
 
 MIN_YEAR = 1900
 
@@ -95,9 +97,7 @@ def extract(
         if element.kind not in _EXTRACTABLE:
             raise KindNotExtractableError(element_id, element.kind.value)
         stereotype = element.property_value("stereotype")
-        entry_type = (
-            stereotype if isinstance(stereotype, str) else element.kind.value
-        )
+        entry_type = stereotype if isinstance(stereotype, str) else element.kind.value
         year = element.property_value("year")
         if not isinstance(year, int) or isinstance(year, bool) or year < MIN_YEAR:
             diags.append(
@@ -110,9 +110,7 @@ def extract(
                 )
             )
             year = fallback_year
-        props = tuple(
-            p for p in element.properties if p.key not in ("year", "stereotype")
-        )
+        props = tuple(p for p in element.properties if p.key not in ("year", "stereotype"))
         entries.append(
             KnowledgeEntry(
                 id=element.id,
@@ -129,15 +127,6 @@ def extract(
 # --- store file ----------------------------------------------------------------
 
 
-def _format_value(prop: Property) -> str:
-    v = prop.value
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return format_number(v) + (prop.unit or "")
-    return f'"{escape_string(v)}"'
-
-
 def format_entry(entry: KnowledgeEntry) -> str:
     fields = [
         "entry",
@@ -147,7 +136,7 @@ def format_entry(entry: KnowledgeEntry) -> str:
         f"year={entry.year_available}",
     ]
     for p in entry.properties:
-        fields.append(f"prop.{p.key}={_format_value(p)}")
+        fields.append(f"prop.{p.key}={format_value(p, '')}")
     model_name, ts = entry.provenance
     fields.append(f'provenance="{escape_string(model_name)}@{ts}"')
     return " ".join(fields)
@@ -203,7 +192,10 @@ def _parse_line(path: str, line_no: int, line: str) -> KnowledgeEntry:
         elif key == "year":
             if not (value.isascii() and value.isdigit()):
                 raise fail(f"bad year {value!r}")
-            year = int(value)
+            try:
+                year = read_number(value)
+            except ValueError:
+                raise fail(f"bad year {value!r}") from None
         elif key == "provenance":
             if quoted is None:
                 raise fail("provenance must be quoted")
@@ -220,10 +212,12 @@ def _parse_line(path: str, line_no: int, line: str) -> KnowledgeEntry:
                 value = _BOOLS[value]
             elif quoted is None:
                 number = _NUMBER_RE.match(value)
-                if number is None:
-                    raise fail(f"bad value {value!r} for property {prop_key!r}")
-                digits, unit = number.groups()
-                value = float(digits) if "." in digits else int(digits)
+                try:
+                    if number is None:
+                        raise ValueError
+                    value, unit = read_number(number[1]), number[2]
+                except ValueError:
+                    raise fail(f"bad value {value!r} for property {prop_key!r}") from None
             props.append(Property(prop_key, value, unit))
         else:
             raise fail(f"unknown field {key!r}")
@@ -247,6 +241,11 @@ def load(store: str | Path) -> list[KnowledgeEntry]:
     except UnicodeDecodeError as exc:  # exc.object holds the whole file
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise StoreCorruptError(name, line_no, f"not UTF-8 text: {exc.reason}") from None
+    entries = _read(name, text)
+    return [entries[k] for k in sorted(entries)]
+
+
+def _read(name: str, text: str) -> dict[str, KnowledgeEntry]:
     entries: dict[str, KnowledgeEntry] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -256,7 +255,17 @@ def load(store: str | Path) -> list[KnowledgeEntry]:
         if entry.id in entries:
             raise StoreCorruptError(name, line_no, f"duplicate entry id {entry.id!r}")
         entries[entry.id] = entry
-    return [entries[k] for k in sorted(entries)]
+    return entries
+
+
+def _read_back(name: str, entry: KnowledgeEntry, line: str) -> None:
+    """ImogError unless `load` reads `entry`'s line back as `entry`."""
+    try:  # `load` reads with universal newlines: a raw "\r" ends a line
+        back = _read(name, line.replace("\r", "\n"))
+    except StoreCorruptError as exc:
+        raise ImogError(f"cannot store {entry.id!r}: {exc.reason}") from None
+    if back != {entry.id: entry}:
+        raise ImogError(f"cannot store {entry.id!r}: it reads back changed")
 
 
 def save(store: str | Path, entries: list[KnowledgeEntry]) -> int:
@@ -267,27 +276,23 @@ def save(store: str | Path, entries: list[KnowledgeEntry]) -> int:
     entries (perfbench's `knowledge.growth` is about 1.2). The rewrite
     is deliberate: the file stays canonical (id-sorted, one entry per
     line) so that committees can merge it as plain text, and it is
-    replaced atomically, so a reader never sees half a store.
+    replaced atomically, so a reader never sees half a store. Only the new
+    lines are read back first: one that `load` would refuse or change
+    raises ImogError, and the file stays as it was.
     """
     path = Path(store)
-    merged: dict[str, KnowledgeEntry] = {}
-    if path.exists():
-        for entry in load(path):
-            merged[entry.id] = entry
-    for entry in entries:
-        if entry.year_available < MIN_YEAR:
-            raise ValueError(
-                f"entry {entry.id!r}: year {entry.year_available} is before "
-                f"{MIN_YEAR}"
-            )
-        merged[entry.id] = entry
-    lines = [format_entry(merged[k]) for k in sorted(merged)]
+    merged = {entry.id: entry for entry in load(path)} if path.exists() else {}
+    new = {entry.id: entry for entry in entries}
+    merged.update(new)
+    lines = {k: format_entry(merged[k]) for k in sorted(merged)}
+    for k, entry in new.items():
+        _read_back(str(path), entry, lines[k])
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write("\n".join(lines.values()) + ("\n" if lines else ""))
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -304,18 +309,13 @@ def query(
     property_key: str | None = None,
 ) -> list[KnowledgeEntry]:
     """Entries matching every given filter; max_year means available by then."""
-    out = []
-    for entry in load(store):
-        if type is not None and entry.type != type:
-            continue
-        if max_year is not None and entry.year_available > max_year:
-            continue
-        if property_key is not None and not any(
-            p.key == property_key for p in entry.properties
-        ):
-            continue
-        out.append(entry)
-    return out
+    return [
+        entry
+        for entry in load(store)
+        if (type is None or entry.type == type)
+        and (max_year is None or entry.year_available <= max_year)
+        and (property_key is None or any(p.key == property_key for p in entry.properties))
+    ]
 
 
 def model_target_year(model: Model) -> int | None:
@@ -360,11 +360,7 @@ def check_kbrefs(model: Model, store: str | Path) -> list[Diagnostic]:
             value = inline.property_value("year")
             if isinstance(value, int) and not isinstance(value, bool):
                 year = value
-        if (
-            target_year is not None
-            and year is not None
-            and year > target_year
-        ):
+        if target_year is not None and year is not None and year > target_year:
             diags.append(
                 make(
                     "I-401",

@@ -4,7 +4,9 @@ Keywords are reserved, lower-case, case-sensitive. `//` comments run to
 end of line. An identifier is a letter or `_` followed by letters,
 digits or `_`. Numbers are decimal digits with an optional fraction and
 no exponent; `1..2` lexes as two numbers around a range separator
-because a fraction dot must be followed by a digit.
+because a fraction dot must be followed by a digit. Every reader of
+numbers (also the knowledge store and the requirements table) gets the
+value from `read_number`, which keeps them in range.
 
 Cost: linear in the source length. No token spans lines (a string
 cannot hold a raw newline and a comment ends at one), so the source is
@@ -143,6 +145,21 @@ _PLAIN = re.compile(r'[^"\\\n]*')
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
+# In range: at most 308 digits before the point and below 1e308, also as a
+# float. So `int()` stays below its 4,300-digit limit, and `format_number`
+# writes every value back in range (a double of 1e308 would take 309 digits).
+MAX_DIGITS = 308
+
+
+def read_number(literal: str) -> int | float:
+    """A number literal's value, a float iff it has a point; ValueError if out of range."""
+    if len(literal) >= MAX_DIGITS:  # a shorter one is in range
+        digits = len(literal.partition(".")[0].lstrip("-"))
+        if digits > MAX_DIGITS or digits == MAX_DIGITS and abs(float(literal)) >= 1e308:
+            message = f"number with {digits} digits before the point is out of range"
+            raise ValueError(f"{message} (below 1e308)")
+    return float(literal) if "." in literal else int(literal)
+
 
 def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
@@ -174,7 +191,11 @@ def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
                 elif symbol and symbol != "=":
                     lexeme, kind, value = symbol, symbols[symbol], symbol
                 elif number:
-                    value = float(number) if "." in number else int(number)
+                    try:
+                        value = read_number(number)
+                    except ValueError as exc:  # no model is returned: 0 will do
+                        error(str(exc), col, col + len(number) - 1)
+                        value = 0
                     lexeme, kind = number, NUMBER
                 elif comment:
                     continue  # it runs to the end of the line

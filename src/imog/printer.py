@@ -20,6 +20,12 @@ from .model import (
 
 _IND = "  "
 
+_STRUCTURAL_RELATIONS = (
+    RelationKind.EFFECT,
+    RelationKind.CHANNEL_LINK,
+    RelationKind.CONTAINS,
+    RelationKind.ALLOCATE,
+)
 _STRATEGY_KEYWORD = {
     ElementKind.GOAL: "goal",
     ElementKind.STAKEHOLDER: "stakeholder",
@@ -37,17 +43,28 @@ def quote(text: str) -> str:
 
 
 def format_number(value: int | float) -> str:
+    """The one writer of numbers: exact, with no exponent (the grammar has none).
+
+    A float is its shortest `repr` with the exponent (below 1e-4 and from
+    1e16) shifted into the digits; an integral float is an integer below
+    1e15 and keeps `.0` above, so that it re-reads as that float.
+    """
     if isinstance(value, bool):  # guard: bools are ints
         raise TypeError("booleans are not numbers here")
     if isinstance(value, int):
         return str(value)
-    if value == int(value) and abs(value) < 1e15:
+    if value.is_integer() and abs(value) < 1e15:
         return str(int(value))
     text = repr(value)
-    if "e" in text or "E" in text:
-        # the grammar has no exponent form
-        text = f"{value:.12f}".rstrip("0").rstrip(".")
-    return text
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        return text
+    sign, digits = ("-", mantissa[1:]) if value < 0 else ("", mantissa)
+    digits = digits.replace(".", "")
+    point = int(exponent) + 1  # `repr` puts one digit before its point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    return f"{sign}{digits.ljust(point, '0')}.0"
 
 
 def format_bound(body: RequirementBody) -> str:
@@ -60,15 +77,13 @@ def format_bound(body: RequirementBody) -> str:
     return format_number(body.bound)  # type: ignore[arg-type]
 
 
-def _format_prop_value(prop: Property) -> str:
+def format_value(prop: Property, unit_sep: str = " ") -> str:
+    """A property value; the knowledge store joins a unit with no blank."""
     v = prop.value
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, float)):
-        text = format_number(v)
-        if prop.unit:
-            text += f" {prop.unit}"
-        return text
+        return format_number(v) + (f"{unit_sep}{prop.unit}" if prop.unit else "")
     return quote(v)
 
 
@@ -97,17 +112,13 @@ class _Printer:
             return
         self.emit(depth, head + " {")
         for p in props:
-            self.emit(depth + 1, f"{p.key}: {_format_prop_value(p)}")
+            self.emit(depth + 1, f"{p.key}: {format_value(p)}")
         self.emit(depth, "}")
 
     # --- sections ---
 
     def _strategy(self) -> None:
-        elements = [
-            e
-            for e in self.model.elements.values()
-            if e.kind in _STRATEGY_KEYWORD
-        ]
+        elements = self.model.elements_of_kind(*_STRATEGY_KEYWORD)
         if not elements:
             return
         self.emit(1, "strategy {")
@@ -120,11 +131,7 @@ class _Printer:
         self.emit(1, "}")
 
     def _functional(self) -> None:
-        nodes = [
-            e
-            for e in self.model.elements.values()
-            if e.kind in (ElementKind.FEATURE, ElementKind.FUNCTION)
-        ]
+        nodes = self.model.elements_of_kind(ElementKind.FEATURE, ElementKind.FUNCTION)
         xrels = [
             r
             for r in self.model.relations
@@ -169,9 +176,7 @@ class _Printer:
     def _frel(self, rel: Relation) -> None:
         if rel.kind is RelationKind.OR_GROUP:
             lo, hi = rel.cardinality or (1, len(rel.targets))
-            self.emit(
-                3, f"orgroup [{lo}..{hi}] {{ {' '.join(rel.targets)} }}"
-            )
+            self.emit(3, f"orgroup [{lo}..{hi}] {{ {' '.join(rel.targets)} }}")
             return
         if rel.kind is RelationKind.MANDATORY:
             target = self.model.lookup(rel.targets[0])
@@ -210,22 +215,8 @@ class _Printer:
         self.emit(1, "}")
 
     def _structural(self) -> None:
-        blocks = [
-            e
-            for e in self.model.elements.values()
-            if e.kind is ElementKind.BLOCK
-        ]
-        rels = [
-            r
-            for r in self.model.relations
-            if r.kind
-            in (
-                RelationKind.EFFECT,
-                RelationKind.CHANNEL_LINK,
-                RelationKind.CONTAINS,
-                RelationKind.ALLOCATE,
-            )
-        ]
+        blocks = self.model.elements_of_kind(ElementKind.BLOCK)
+        rels = [r for r in self.model.relations if r.kind in _STRUCTURAL_RELATIONS]
         if not blocks and not rels:
             return
         self.emit(1, "structural {")
@@ -233,14 +224,9 @@ class _Printer:
             self._block(block)
         for r in rels:
             if r.kind is RelationKind.EFFECT:
-                self.emit(
-                    2,
-                    f"effect {r.source} -> {r.targets[0]} {quote(r.label or '')}",
-                )
+                self.emit(2, f"effect {r.source} -> {r.targets[0]} {quote(r.label or '')}")
             elif r.kind is RelationKind.CHANNEL_LINK:
-                head = (
-                    f"channel {r.source} <-> {r.targets[0]} {quote(r.label or '')}"
-                )
+                head = f"channel {r.source} <-> {r.targets[0]} {quote(r.label or '')}"
                 self._props_block(2, r.properties, head)
             elif r.kind is RelationKind.CONTAINS:
                 self.emit(2, f"contains {r.source} {{ {r.targets[0]} }}")
@@ -270,19 +256,12 @@ class _Printer:
                 variant = self.model.lookup(r.targets[0])
                 if variant is None:
                     continue
-                self._props_block(
-                    3,
-                    variant.properties,
-                    f"variant {variant.id} {quote(variant.name)}",
-                )
+                head = f"variant {variant.id} {quote(variant.name)}"
+                self._props_block(3, variant.properties, head)
         self.emit(2, "}")
 
     def _knowledge(self) -> None:
-        entries = [
-            e
-            for e in self.model.elements.values()
-            if e.kind is ElementKind.KNOWLEDGE_ENTRY
-        ]
+        entries = self.model.elements_of_kind(ElementKind.KNOWLEDGE_ENTRY)
         if not entries:
             return
         self.emit(1, "knowledge {")
@@ -290,15 +269,9 @@ class _Printer:
             type_value = e.property_value("type")
             year_value = e.property_value("year")
             if not isinstance(type_value, str) or not isinstance(year_value, int):
-                raise ValueError(
-                    f"knowledge entry {e.id!r} lacks type/year properties"
-                )
-            rest = tuple(
-                p for p in e.properties if p.key not in ("type", "year")
-            )
-            head = (
-                f"entry {e.id} {quote(e.name)} type {type_value} year {year_value}"
-            )
+                raise ValueError(f"knowledge entry {e.id!r} lacks type/year properties")
+            rest = tuple(p for p in e.properties if p.key not in ("type", "year"))
+            head = f"entry {e.id} {quote(e.name)} type {type_value} year {year_value}"
             self._props_block(2, rest, head)
         self.emit(1, "}")
 

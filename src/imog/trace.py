@@ -23,6 +23,7 @@ from .model import (
     RequirementBody,
     TREE_KINDS,
 )
+from .printer import format_number
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class Interval:
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
-        lo = "-inf" if self.lo == -math.inf else f"{self.lo:g}"
-        hi = "inf" if self.hi == math.inf else f"{self.hi:g}"
+        lo = "-inf" if self.lo == -math.inf else format_number(self.lo)
+        hi = "inf" if self.hi == math.inf else format_number(self.hi)
         return f"{left}{lo}, {hi}{right}"
 
 
@@ -203,9 +204,8 @@ def _buckets(model: Model, block: str) -> dict[str, dict[str | None, list]]:
     buckets: dict[str, dict[str | None, list]] = {}
     for body, origin in effective_requirements(model, block):
         if body.machine_checkable:
-            buckets.setdefault(body.attribute, {}).setdefault(body.unit, []).append(
-                (body, origin)
-            )
+            units = buckets.setdefault(body.attribute, {})
+            units.setdefault(body.unit, []).append((body, origin))
     return buckets
 
 
@@ -219,9 +219,7 @@ def find_conflicts(model: Model) -> list[ConflictGroup]:
     model in O(total effective entries), plus one pass over them.
     """
     groups: list[ConflictGroup] = []
-    for block in model.elements.values():
-        if block.kind is not ElementKind.BLOCK:
-            continue
+    for block in model.elements_of_kind(ElementKind.BLOCK):
         buckets = _buckets(model, block.id)
         for attribute in sorted(buckets):
             units = buckets[attribute]
@@ -236,17 +234,13 @@ def find_conflicts(model: Model) -> list[ConflictGroup]:
                 for _, _, interval in requirements:
                     common = common.intersect(interval)
                 if common.empty:
-                    groups.append(
-                        ConflictGroup(block.id, attribute, unit, requirements)
-                    )
+                    groups.append(ConflictGroup(block.id, attribute, unit, requirements))
     return groups
 
 
 def _unit_mismatches(model: Model) -> list[Diagnostic]:
     diags = []
-    for block in model.elements.values():
-        if block.kind is not ElementKind.BLOCK:
-            continue
+    for block in model.elements_of_kind(ElementKind.BLOCK):
         buckets = _buckets(model, block.id)
         for attribute in sorted(buckets):
             units = buckets[attribute]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from typing import Iterable
 
 from . import trace
@@ -27,6 +28,7 @@ from .model import (
     Role,
     step_info,
 )
+from .lexer import read_number
 from .printer import format_bound
 
 
@@ -152,9 +154,7 @@ def _edge_lines(model: Model, rel: Relation) -> list[str]:
     elif rel.kind is RelationKind.OR_GROUP:
         lo, hi = rel.cardinality or (1, len(rel.targets))
         for target in rel.targets:
-            lines.append(
-                f'  "{rel.source}" -> "{target}" [label="[{lo}..{hi}]"];'
-            )
+            lines.append(f'  "{rel.source}" -> "{target}" [label="[{lo}..{hi}]"];')
     elif rel.kind is RelationKind.ALTERNATIVE:
         for target in rel.targets:
             lines.append(f'  "{rel.source}" -> "{target}" [label="alt"];')
@@ -197,16 +197,8 @@ def export_graph(
 
 # --- requirements table ---------------------------------------------------------
 
-TABLE_HEADER = (
-    "id",
-    "name",
-    "target",
-    "target_perspective",
-    "attribute",
-    "comparator",
-    "bound",
-    "unit",
-    "rationale",
+TABLE_HEADER = tuple(
+    "id name target target_perspective attribute comparator bound unit rationale".split()
 )
 
 
@@ -237,21 +229,42 @@ def export_requirements_table(model: Model) -> str:
     return buffer.getvalue()
 
 
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?\Z"  # ASCII digits, as `format_number` writes them
+_COMPARATORS = frozenset(("<", ">", "<=", ">=", "==", "in"))
+
+
+def _read_bound(comparator: str, text: str):
+    """A bound cell read as the language reads it; ValueError where it would not."""
+    if not comparator and not text:
+        return None
+    parts = text.split("..") if comparator == "in" else [text]
+    if (
+        comparator not in _COMPARATORS
+        or len(parts) != 1 + (comparator == "in")
+        or not all(re.match(_NUMBER, part) for part in parts)
+    ):
+        raise ValueError(f"bad bound {text!r} for comparator {comparator!r}")
+    if comparator != "in":
+        return read_number(text)
+    lo, hi = (float(read_number(part)) for part in parts)
+    if lo > hi:
+        raise ValueError(f"bad range {text!r}: low > high")
+    return lo, hi
+
+
 def parse_requirements_table(text: str) -> list[RequirementBody]:
-    """Inverse of export_requirements_table for the machine-checkable fields."""
+    """Inverse of export_requirements_table; a bad bound's ValueError names its row."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or tuple(rows[0]) != TABLE_HEADER:
         raise ValueError("not a requirements table")
     bodies = []
-    for row in rows[1:]:
-        owner, _name, target, _tp, attribute, comparator, bound_text, unit, rationale = row
-        bound: object = None
-        if comparator == "in" and bound_text:
-            lo, _, hi = bound_text.partition("..")
-            bound = (float(lo), float(hi))
-        elif bound_text:
-            bound = float(bound_text) if "." in bound_text else int(bound_text)
+    for row_no, row in enumerate(rows[1:], start=2):
+        try:
+            owner, _, target, _, attribute, comparator, bound_text, unit, rationale = row
+            bound = _read_bound(comparator, bound_text)
+        except ValueError as exc:
+            raise ValueError(f"requirements table row {row_no}: {exc}") from None
         bodies.append(
             RequirementBody(
                 owner=owner,

@@ -481,6 +481,134 @@ def test_kb_query_on_any_store_text_exits_zero_or_two(tmp_path_factory, text, ra
     assert "internal error" not in err
 
 
+# --- numbers: exact when printed, refused when out of range ---------------
+
+
+def _block_model(tmp_path, body: str, requirements: str = "") -> str:
+    path = tmp_path / "numbers.imog"
+    quality = f"quality {{ {requirements} }}" if requirements else ""
+    path.write_text(
+        f'model "M" {{ {quality} structural {{ block B "b" level system {body} }} }}\n',
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_tiny_bounds_conflict_survives_view(tmp_path):
+    # both bounds used to print as `0`, and the view checked clean
+    source = _block_model(
+        tmp_path,
+        "",
+        'requirement R1 "a" on B attr i <= 0.0000000000001 A '
+        'requirement R2 "b" on B attr i >= 0.0000000000002 A',
+    )
+    code, _out, err = invoke("check", source)
+    assert code == 1
+    assert "R1 direct [-inf, 0.0000000000001]; R2 direct [0.0000000000002, inf]" in err
+    view = tmp_path / "view.imog"
+    code, _out, _err = invoke(
+        "view", source, "--levels", "system", "--perspectives", "quality", "structural",
+        "--out", str(view),
+    )
+    assert code == 0
+    text = view.read_text(encoding="utf-8")
+    assert "<= 0.0000000000001 A" in text and ">= 0.0000000000002 A" in text
+    code, _out, err = invoke("check", str(view))
+    assert code == 1
+    assert len([l for l in err.splitlines() if l.startswith("C-301")]) == 1
+
+
+def test_conflict_message_shows_bounds_exactly(tmp_path):
+    # `:g` wrote `[-inf, 1e+06]; [1e+06, inf]`, which reads as no conflict
+    source = _block_model(
+        tmp_path,
+        "",
+        'requirement R1 "a" on B attr i <= 1000000.1 A '
+        'requirement R2 "b" on B attr i >= 1000000.2 A',
+    )
+    code, _out, err = invoke("check", source)
+    assert code == 1
+    assert "R1 direct [-inf, 1000000.1]; R2 direct [1000000.2, inf]" in err
+
+
+@pytest.mark.parametrize(
+    "literal, digits",
+    [("1" * 5000, 5000), ("-" + "9" * 308, 308), ("4" * 400 + ".5", 400)],
+    ids=["int-5000", "negative-308", "decimal-400"],
+)
+def test_long_number_literal_is_a_parse_error(tmp_path, literal, digits):
+    source = _block_model(tmp_path, f"{{ n: {literal} }}")
+    message = f"number with {digits} digits before the point is out of range (below 1e308)"
+    for argv in (
+        ("check", source),
+        ("view", source, "--levels", "system", "--perspectives", "structural"),
+        ("export", source, "--reqtable"),
+    ):
+        code, out, err = invoke(*argv)
+        assert (code, out.count("\n")) == (1, argv[0] == "check"), argv
+        assert [l for l in err.splitlines() if l.startswith("P-")] == [
+            f"P-001 error {source}:1:57 {message}"
+        ]
+        assert literal[2:] not in err and "internal error" not in err
+
+
+def test_longest_number_literals_are_printed_exactly(tmp_path):
+    longest = "9" * 16 + "0" * 292  # 308 digits, below 1e308
+    source = _block_model(tmp_path, f"{{ n: {longest}.5 m: -{longest} l: {'9' * 307} }}")
+    code, out, _err = invoke(
+        "view", source, "--levels", "system", "--perspectives", "structural"
+    )
+    assert code == 0
+    block = imog.parse(out).model.elements["B"]
+    assert block.property_value("n") == float(longest)
+    assert block.property_value("m") == -int(longest)
+    assert block.property_value("l") == int("9" * 307)
+
+
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ("year=" + "2" * 5000, "bad year '" + "2" * 5000 + "'"),
+        ("year=2024 prop.n=" + "2" * 5000, "bad value '" + "2" * 5000 + "' for property 'n'"),
+        ("year=2024 prop.n=" + "3" * 400 + ".5kg", "bad value '" + "3" * 400 + ".5kg' for property 'n'"),
+    ],
+    ids=["year-5000", "prop-5000", "prop-decimal-400"],
+)
+def test_kb_query_on_a_long_store_number_exits_two(tmp_path, field, reason):
+    store = tmp_path / "kb.imogkb"
+    store.write_text(f'entry K name="k" type=t {field} provenance="m@t"\n', encoding="utf-8")
+    code, out, err = invoke("kb", "--store", str(store), "query")
+    assert (code, out) == (2, "")
+    assert err == f"imog: {store}:1: corrupt store line: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "block, reason",
+    [
+        ('block Bé "b" level system { year: 2024 }', "bad entry id 'Bé'"),
+        ('block B "b" level system { year: 2024 r: 10 Ω }', "bad value '10Ω' for property 'r'"),
+        (
+            'block B "b" level system { year: 2024 stereotype: "Battery Pack" }',
+            "field 'Pack' has no value",
+        ),
+    ],
+    ids=["id", "unit", "type"],
+)
+def test_kb_extract_never_writes_a_line_the_store_refuses(tmp_path, block, reason):
+    source = tmp_path / "m.imog"
+    source.write_text(f'model "M" {{ structural {{ {block} }} }}\n', encoding="utf-8")
+    store = tmp_path / "kb.imogkb"
+    seeded = b'entry K name="k" type=t year=2024 provenance="m@t"\n'
+    store.write_bytes(seeded)
+    element = block.split()[1]
+    code, out, err = invoke("kb", "--store", str(store), "extract", str(source), element)
+    assert (code, out) == (2, "")
+    assert err == f"imog: cannot store {element!r}: {reason}\n"
+    assert store.read_bytes() == seeded
+    code, out, _err = invoke("kb", "--store", str(store), "query")
+    assert (code, out) == (0, seeded.decode())
+
+
 def test_parse_error_exits_one():
     bad = FIXTURES / ".." / "bad_tmp.imog"
     bad.write_text('model "B" { functional { feature F } }')

@@ -11,7 +11,12 @@ import imog
 import knowledge_reference
 from conftest import FIXTURES, GOLDEN, golden_text, parse_fixture
 from imog import knowledge
-from imog.errors import KindNotExtractableError, StoreCorruptError, UnknownElementError
+from imog.errors import (
+    ImogError,
+    KindNotExtractableError,
+    StoreCorruptError,
+    UnknownElementError,
+)
 from imog.knowledge import KnowledgeEntry
 from imog.model import Property
 
@@ -107,6 +112,45 @@ def test_string_property_that_looks_numeric_roundtrips(tmp_path):
     knowledge.save(store, [entry])
     (loaded,) = knowledge.load(store)
     assert loaded.properties == (Property("code", "42"),)
+
+
+def test_numbers_are_stored_exactly(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    values = (1e-13, 5e-324, 1e16, 2.0**53 + 2, 1e15 + 0.5, 2**53 + 1, -0.25)
+    props = tuple(Property(f"p{i}", v, "kg") for i, v in enumerate(values))
+    knowledge.save(store, [KnowledgeEntry("K", "k", "t", 2024, props, ("m", TS))])
+    line = store.read_text(encoding="utf-8")
+    assert " prop.p0=0.0000000000001kg " in line and " prop.p2=10000000000000000.0kg " in line
+    (loaded,) = knowledge.load(store)
+    assert [(p.value, type(p.value)) for p in loaded.properties] == [
+        (v, type(v)) for v in values
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        (KnowledgeEntry("K", "k", "t", 1500, (), ("m", TS)), "year 1500 is before 1900"),
+        (KnowledgeEntry("Bé", "k", "t", 2024, (), ("m", TS)), "bad entry id 'Bé'"),
+        (KnowledgeEntry("K", "a\rb", "t", 2024, (), ("m", TS)), "unterminated name"),
+        (
+            KnowledgeEntry("K", "k", "t", 2024, (Property("x", float("inf"), None),), ("m", TS)),
+            "bad value 'inf' for property 'x'",
+        ),
+        (
+            KnowledgeEntry("K", "k", "t", 2024, (Property("x", 1, ""),), ("m", TS)),
+            "it reads back changed",
+        ),
+    ],
+    ids=["year", "id", "carriage-return", "infinity", "empty-unit"],
+)
+def test_save_refuses_an_entry_that_does_not_read_back(tmp_path, kb_store, entry, reason):
+    before = kb_store.read_bytes()
+    with pytest.raises(ImogError) as exc:
+        knowledge.save(kb_store, [entry])
+    assert not isinstance(exc.value, StoreCorruptError)
+    assert str(exc.value) == f"cannot store {entry.id!r}: {reason}"
+    assert kb_store.read_bytes() == before
 
 
 def test_load_corrupt_store_names_line():

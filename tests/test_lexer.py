@@ -20,7 +20,7 @@ import pytest
 from conftest import FIXTURES
 from genmodels import LEXER_ALPHABET, full_model_text
 from imog.diagnostics import SourceSpan
-from imog.lexer import TokenKind, tokenize
+from imog.lexer import MAX_DIGITS, TokenKind, read_number, tokenize
 from oracle import tokenize_reference
 
 
@@ -145,3 +145,37 @@ def test_token_span_is_built_on_request():
     assert (name.line, name.col, name.end_col) == (2, 3, 5)
     assert name.span == SourceSpan("s.imog", 2, 3, 2, 5)
     assert tokens[-1].span == SourceSpan("s.imog", 2, 8, 2, 8)
+
+
+def test_read_number_keeps_the_type_and_the_range():
+    assert [read_number(t) for t in ("0", "-12", "007", "2.50", "-0.5")] == [0, -12, 7, 2.5, -0.5]
+    assert type(read_number("2.0")) is float and type(read_number("2")) is int
+    longest = "9" * 16 + "0" * (MAX_DIGITS - 16)  # below 1e308
+    assert read_number(longest) == int(longest)
+    assert read_number("-" + longest + ".9") == -float(longest)
+    assert read_number("9" * (MAX_DIGITS - 1)) == int("9" * (MAX_DIGITS - 1))
+    for literal, digits in (
+        ("9" * 308, 308),  # rounds to 1e308 as a float
+        ("-" + "1" * 309, 309),
+        ("1" * 5000, 5000),
+        ("1" * 400 + ".5", 400),
+    ):
+        with pytest.raises(ValueError) as exc:
+            read_number(literal)
+        assert str(exc.value) == (
+            f"number with {digits} digits before the point is out of range (below 1e308)"
+        )
+
+
+def test_out_of_range_number_is_one_p001_and_a_placeholder():
+    source = f"a {'7' * 5000} b"
+    tokens, diagnostics = tokenize(source, "n.imog")
+    assert [(t.kind, t.lexeme, t.value) for t in tokens[:-1]] == [
+        (TokenKind.IDENT, "a", "a"),
+        (TokenKind.NUMBER, "7" * 5000, 0),
+        (TokenKind.IDENT, "b", "b"),
+    ]
+    assert [(d.code, d.span) for d in diagnostics] == [
+        ("P-001", SourceSpan("n.imog", 1, 3, 1, 5002))
+    ]
+    assert "5000 digits" in diagnostics[0].message

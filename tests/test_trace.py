@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 import sys
 import threading
@@ -106,6 +107,12 @@ def test_conflict_fixture_single_group(conflict_model):
     group = groups[0]
     assert (group.block, group.attribute, group.unit) == ("B_mount", "weight", "kg")
     assert {owner for owner, _, _ in group.requirements} == {"R_light", "R_sturdy"}
+
+
+def test_interval_writes_its_bounds_exactly():
+    assert str(trace.Interval(1e-5, 1e16, lo_open=True)) == "(0.00001, 10000000000000000.0]"
+    assert str(trace.Interval(-math.inf, 1000000.1, hi_open=True)) == "[-inf, 1000000.1)"
+    assert str(trace.Interval(25.0, math.inf)) == "[25, inf]"
 
 
 def test_conflict_disappears_when_either_requirement_removed():

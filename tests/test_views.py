@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
 
 import dotcheck
 import imog
-from conftest import golden_text
+from conftest import FIXTURES, golden_text, parse_fixture
 from genmodels import full_model_text
 from imog import structurally_equal, views
 from imog.model import AbstractionLevel as L
 from imog.model import Perspective as P
+from imog.printer import format_bound
 from imog.resolve import validate
 
 ALL_L = set(L)
@@ -204,6 +207,65 @@ def test_table_roundtrip_machine_fields(escooter):
         spans={},
     )
     assert views.export_requirements_table(reexport_model) == text
+
+
+def _table_models():
+    models = [parse_fixture(p.name).model for p in sorted(FIXTURES.glob("*.imog"))]
+    rng = random.Random(1616)
+    models += [imog.parse(full_model_text(rng)).model for _ in range(60)]
+    return models
+
+
+def test_table_bounds_read_back_as_parsed():
+    tables = [golden_text("escooter.reqtable.csv")]
+    for model in _table_models():
+        table = views.export_requirements_table(model)
+        parsed = {b.owner: b for b in views.parse_requirements_table(table)}
+        for body in model.requirement_bodies:
+            assert (parsed[body.owner].comparator or None) == body.comparator
+            assert parsed[body.owner].bound == body.bound
+        tables.append(table)
+    for table in tables:  # and every bound is written back as it was
+        cells = [row[6] for row in csv.reader(io.StringIO(table))][1:]
+        assert [format_bound(b) for b in views.parse_requirements_table(table)] == cells
+
+
+@pytest.mark.parametrize(
+    "comparator, bound, reason",
+    [
+        ("<=", "1.5e3", "bad bound '1.5e3' for comparator '<='"),
+        ("<=", "1e5", "bad bound '1e5' for comparator '<='"),
+        (">=", "1_000", "bad bound '1_000' for comparator '>='"),
+        ("==", " 7 ", "bad bound ' 7 ' for comparator '=='"),
+        ("<", "٣", "bad bound '٣' for comparator '<'"),
+        ("<", ".5", "bad bound '.5' for comparator '<'"),
+        ("<=", "1..2", "bad bound '1..2' for comparator '<='"),
+        ("<=", "", "bad bound '' for comparator '<='"),
+        ("=<", "1", "bad bound '1' for comparator '=<'"),
+        ("", "1", "bad bound '1' for comparator ''"),
+        ("in", "inf..-inf", "bad bound 'inf..-inf' for comparator 'in'"),
+        ("in", "1", "bad bound '1' for comparator 'in'"),
+        ("in", "1..2..3", "bad bound '1..2..3' for comparator 'in'"),
+        ("in", "2..1.5", "bad range '2..1.5': low > high"),
+        (
+            "<=",
+            "9" * 400,
+            "number with 400 digits before the point is out of range (below 1e308)",
+        ),
+    ],
+)
+def test_table_refuses_bounds_the_language_refuses(comparator, bound, reason):
+    header = ",".join(views.TABLE_HEADER)
+    good = "R0,n,B,Structural,w,<=,1,kg,"
+    row = f'R1,n,B,Structural,w,{comparator},"{bound}",kg,'
+    with pytest.raises(ValueError) as exc:
+        views.parse_requirements_table(f"{header}\n{good}\n{row}\n")
+    assert str(exc.value) == f"requirements table row 3: {reason}"
+
+
+def test_table_short_row_names_its_row():
+    with pytest.raises(ValueError, match=r"^requirements table row 2: not enough values"):
+        views.parse_requirements_table(",".join(views.TABLE_HEADER) + "\nR1,n,B\n")
 
 
 # --- roadmap scaffold -----------------------------------------------------------
