@@ -309,10 +309,7 @@ def run(
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except ImogError as exc:
-        err.write(f"imog: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ImogError, OSError) as exc:
         err.write(f"imog: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # a fault in imog itself: no traceback

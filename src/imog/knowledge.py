@@ -70,10 +70,17 @@ class ExtractResult:
 
 
 def current_timestamp() -> str:
-    """UTC timestamp; SOURCE_DATE_EPOCH pins it for reproducible runs."""
+    """UTC timestamp; SOURCE_DATE_EPOCH pins it for reproducible runs.
+
+    A value that is not a count of seconds in range raises ImogError.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        t = time.gmtime(int(epoch) if epoch else None)
+    except (ValueError, OverflowError, OSError):
+        message = f"SOURCE_DATE_EPOCH={epoch!r} is not a count of seconds in range"
+        raise ImogError(message) from None
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
 
 
 def extract(
@@ -87,7 +94,7 @@ def extract(
     extraction year.
     """
     ts = timestamp or current_timestamp()
-    fallback_year = int(ts[:4])
+    fallback_year = int(ts.rsplit("-", 2)[0])  # the year may have any number of digits
     entries: list[KnowledgeEntry] = []
     diags: list[Diagnostic] = []
     for element_id in ids:

@@ -12,13 +12,13 @@ Cost: linear in the source length. No token spans lines (a string
 cannot hold a raw newline and a comment ends at one), so the source is
 split on newlines and one `findall` per line on a master pattern reads
 every token with the blanks before it; the line number is the line's
-index and the column a running sum of match lengths. An unusual token
-is read on its own, and the rest of its line one match at a time: a
-string with escapes or without its closing quote (read one run of
-plain characters at a time, in the source, so that the line's newline
-ends it), a lone `=`, a word starting with a non-letter, or a stray
-character. A token is a plain tuple; its `SourceSpan` is built only
-when asked for.
+index and the column a running sum of match lengths. A string with
+escapes or without its closing quote is one match as well, and one
+`re.sub` decodes its escapes and reports unknown ones. A lone `=` and a
+stray character are reported where they are met. Only a word starting
+with a non-letter breaks the line's `findall`, after which the rest of
+the line is read one match at a time. A token is a plain tuple; its
+`SourceSpan` is built only when asked for.
 """
 
 from __future__ import annotations
@@ -124,9 +124,10 @@ _SYMBOLS = {
 }
 
 # One match per token, with the blanks before it folded in: groups are
-# (blanks, word, symbol, string, number, comment, other). No token spans
-# lines, so `tokenize` matches one line at a time and no group meets a
-# newline. `\w` also holds digits such as '²' and '½' that are not
+# (blanks, word, symbol, string, close, number, comment, other), where a
+# string runs to its closing quote (`close`) or the end of the line. No
+# token spans lines, so `tokenize` matches one line at a time and no group
+# meets a newline. `\w` also holds digits such as '²' and '½' that are not
 # letters; a word starting with one is rejected in `tokenize`, as
 # identifiers must start with a letter or `_`. Numbers take only decimal
 # digits, which `int()` and `float()` accept.
@@ -134,14 +135,14 @@ _TOKEN = re.compile(
     r"""([ \t\r]*)
     (?: ([^\W\d]\w*)
       | ([{}\[\]:]|->|<->|[<>=]=?|\.\.)
-      | ("[^"\\\n]*")
+      | ("[^"\\\n]*(?:\\.?[^"\\\n]*)*("?))
       | (-?\d+(?:\.\d+)?)
       | (//.*)
       | ([^ \t\r\n])
     )""",
     re.VERBOSE,
 )
-_PLAIN = re.compile(r'[^"\\\n]*')
+_ESCAPE = re.compile(r"\\(.?)")
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
@@ -174,12 +175,18 @@ def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
         span = SourceSpan(file, line, col, line, end_col)
         diagnostics.append(make("P-001", message, span=span))
 
-    offset = 0  # where the line starts in `source`
-    for line, text in enumerate(source.split("\n"), 1):
-        pos, groups = 0, findall(text)
+    def unescape(m: re.Match[str]) -> str:
+        """One escape of the string at `start`; an unknown one is reported."""
+        esc = m[1] or ("\n" if line < len(lines) else "")  # a backslash ends the line
+        if esc not in _ESCAPES:
+            error(f"unknown escape \\{esc}", start, start + 1 + m.start())
+        return _ESCAPES.get(esc, m[1])
+
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        col, groups = 1, findall(text)
         while True:
-            col = pos + 1
-            for blanks, word, symbol, string, number, comment, other in groups:
+            for blanks, word, symbol, string, close, number, comment, other in groups:
                 col += len(blanks)
                 if word:
                     if not (word[0].isalpha() or word[0] == "_"):
@@ -188,6 +195,16 @@ def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
                     lexeme, value = word, word
                 elif string:
                     lexeme, kind, value = string, STRING, string[1:-1]
+                    if not close or "\\" in string:  # the lexeme is rebuilt unescaped
+                        start = col
+                        value = _ESCAPE.sub(unescape, value if close else string[1:])
+                        if not close:
+                            error("unterminated string", col, col + len(string) - 1)
+                        end = col + len(lexeme)
+                        token = (kind, f'"{value}"', value, file, line, col, end - 1)
+                        append(new(Token, token))
+                        col = end
+                        continue
                 elif symbol and symbol != "=":
                     lexeme, kind, value = symbol, symbols[symbol], symbol
                 elif number:
@@ -199,50 +216,24 @@ def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
                     lexeme, kind = number, NUMBER
                 elif comment:
                     continue  # it runs to the end of the line
-                else:
-                    break
+                else:  # a lone '=' or a stray character
+                    ch = symbol or other
+                    error(f"unexpected character {ch!r}", col, col)
+                    if ch == "=":  # degrade gracefully
+                        append(Token(TokenKind.CMP, "==", "==", file, line, col, col))
+                    col += 1
+                    continue
                 end = col + len(lexeme)
                 append(new(Token, (kind, lexeme, value, file, line, col, end - 1)))
                 col = end
             else:
                 break  # the line is done
-            # An unusual token at `col`: a word starting with a non-letter,
-            # a lone '=', a stray character, or a string with escapes or
-            # without its closing quote.
-            ch = (word or symbol or other)[0]
-            if ch != '"':
-                error(f"unexpected character {ch!r}", col, col)
-                if ch == "=":  # degrade gracefully
-                    append(Token(TokenKind.CMP, "==", "==", file, line, col, col))
-                pos = col
-            else:  # read in `source`, where the line's newline ends it
-                chars: list[str] = []
-                end = offset + col
-                while True:
-                    run = _PLAIN.match(source, end).end()
-                    chars.append(source[end:run])
-                    end = run
-                    ch = source[end : end + 1]
-                    if ch == '"':
-                        end += 1
-                        break
-                    if ch != "\\":
-                        error("unterminated string", col, end - offset)
-                        break
-                    escape = source[end + 1 : end + 2]
-                    if escape in _ESCAPES:
-                        chars.append(_ESCAPES[escape])
-                        end += 2
-                    else:
-                        end += 1
-                        error(f"unknown escape \\{escape}", col, end - offset)
-                pos = end - offset
-                value = "".join(chars)
-                append(Token(STRING, f'"{value}"', value, file, line, col, pos))
-            # the rest of the line one match at a time, so that many unusual
-            # tokens on one line still cost time linear in its length
-            groups = (m.groups() for m in _TOKEN.finditer(text, pos))
-        offset += len(text) + 1
+            # A word starting with a non-letter, which no regex class tells
+            # apart from a letter: its first character is stray, and the
+            # rest of the line is read one match at a time after it.
+            error(f"unexpected character {word[0]!r}", col, col)
+            groups = (m.groups("") for m in _TOKEN.finditer(text, col))
+            col += 1
     col = len(text) + 1
     append(Token(TokenKind.EOF, "", None, file, line, col, col))
     return tokens, diagnostics

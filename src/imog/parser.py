@@ -243,12 +243,8 @@ class _Parser:
     def _named_strategy_element(
         self, _owner: None, kind: ElementKind, props_allowed: bool
     ) -> None:
-        start = self._advance()  # statement keyword
-        id_tok = self._ident()
-        name = str(self._expect(_STRING, "name string").value)
-        props: tuple[Property, ...] = ()
-        if props_allowed and self._looks_like_props():
-            props = self._props()
+        start, id_tok, name = self._head()
+        props = self._props() if props_allowed else ()
         self._declare(
             Element(id_tok.lexeme, kind, name, properties=props),
             self._span(start),
@@ -257,16 +253,12 @@ class _Parser:
     # --- functional ---
 
     def _feature_like(self, _owner: None, kind: ElementKind) -> None:
-        start = self._advance()
-        id_tok = self._ident()
-        name = str(self._expect(_STRING, "name string").value)
+        start, id_tok, name = self._head()
         level = None
         if self._peek().is_word("level"):
             self._advance()
             level = self._level()
-        props: tuple[Property, ...] = ()
-        if self._looks_like_props():
-            props = self._props()
+        props = self._props()
         self._declare(
             Element(id_tok.lexeme, kind, name, level=level, properties=props),
             self._span(start),
@@ -328,9 +320,7 @@ class _Parser:
             )
 
     def _alternative(self, parent: str) -> None:
-        start = self._advance()
-        vp_tok = self._ident()
-        name = str(self._expect(_STRING, "variation point label").value)
+        start, vp_tok, name = self._head("variation point label")
         members = self._id_group()
         span = self._span(start)
         if len(members) < 2:
@@ -372,9 +362,7 @@ class _Parser:
     # --- quality ---
 
     def _requirement(self, _owner: None) -> None:
-        start = self._advance()
-        id_tok = self._ident()
-        name = str(self._expect(_STRING, "name string").value)
+        start, id_tok, name = self._head()
         self._expect_word("on")
         target = self._ident("target id").lexeme
         attribute = comparator = unit = None
@@ -384,9 +372,7 @@ class _Parser:
             attribute = self._word_token("attribute token").lexeme
             attribute, comparator, bound = self._attr_triple(attribute)
             unit = self._optional_unit()
-        props: tuple[Property, ...] = ()
-        if self._looks_like_props():
-            props = self._props()
+        props = self._props()
         span = self._span(start)
         rationale = None
         for p in props:
@@ -441,14 +427,10 @@ class _Parser:
     # --- structural ---
 
     def _block(self, _owner: None) -> None:
-        start = self._advance()
-        id_tok = self._ident()
-        name = str(self._expect(_STRING, "name string").value)
+        start, id_tok, name = self._head()
         self._expect_word("level")
         level = self._level()
-        props: tuple[Property, ...] = ()
-        if self._looks_like_props():
-            props = self._props()
+        props = self._props()
         declared = self._declare(
             Element(
                 id_tok.lexeme, ElementKind.BLOCK, name, level=level, properties=props
@@ -464,12 +446,8 @@ class _Parser:
             )
 
     def _variant(self, block: str | None) -> None:
-        start = self._advance()
-        v_tok = self._ident()
-        name = str(self._expect(_STRING, "name string").value)
-        props: tuple[Property, ...] = ()
-        if self._looks_like_props():
-            props = self._props()
+        start, v_tok, name = self._head()
+        props = self._props()
         span = self._span(start)
         if (
             self._declare(
@@ -507,9 +485,7 @@ class _Parser:
         self._expect(_BIARROW, "'<->'")
         b = self._ident().lexeme
         label = str(self._expect(_STRING, "channel label").value)
-        props: tuple[Property, ...] = ()
-        if self._looks_like_props():
-            props = self._props()
+        props = self._props()
         self._relate(
             Relation(
                 RelationKind.CHANNEL_LINK, a, (b,), label=label, properties=props
@@ -528,9 +504,7 @@ class _Parser:
     # --- knowledge ---
 
     def _entry(self, _owner: None) -> None:
-        start = self._advance()
-        id_tok = self._ident()
-        name = str(self._expect(_STRING, "name string").value)
+        start, id_tok, name = self._head()
         self._expect_word("type")
         type_tok = self._word_token("type token")
         self._expect_word("year")
@@ -541,8 +515,7 @@ class _Parser:
             Property("type", type_tok.lexeme),
             Property("year", year_tok.value),
         ]
-        if self._looks_like_props():
-            props.extend(self._props(seen={"type", "year"}))
+        props.extend(self._props(seen={"type", "year"}))
         self._declare(
             Element(
                 id_tok.lexeme,
@@ -554,6 +527,12 @@ class _Parser:
         )
 
     # --- shared pieces ---
+
+    def _head(self, what: str = "name string") -> tuple[Token, Token, str]:
+        """`keyword id "name"`, which starts every declaring statement."""
+        start = self._advance()
+        id_tok = self._ident()
+        return start, id_tok, str(self._expect(_STRING, what).value)
 
     def _level(self) -> AbstractionLevel:
         tok = self._peek()
@@ -567,19 +546,18 @@ class _Parser:
         self._advance()
         return level
 
-    def _looks_like_props(self) -> bool:
+    def _props(self, seen: set[str] | None = None) -> tuple[Property, ...]:
+        """A `{ key: value ... }` block; () if the next tokens do not open one."""
         tokens, pos = self.tokens, self.pos
-        return (
+        if not (
             tokens[pos].kind is _LBRACE
             and tokens[pos + 1].kind in _WORDS
             and tokens[pos + 2].kind is _COLON
-        )
-
-    def _props(self, seen: set[str] | None = None) -> tuple[Property, ...]:
-        self._expect(_LBRACE, "'{'")
+        ):
+            return ()
+        self.pos += 1
         seen = set() if seen is None else set(seen)
         props: list[Property] = []
-        tokens = self.tokens
         while True:
             tok = tokens[self.pos]
             if tok.kind is _RBRACE:

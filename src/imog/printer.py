@@ -141,27 +141,26 @@ class _Printer:
             return
         self.emit(1, "functional {")
         for e in nodes:
-            self._feature_like(e)
+            keyword = "feature" if e.kind is ElementKind.FEATURE else "function"
+            self._owner(e, keyword, self._body_relations(e.id), self._frel)
         for r in xrels:
             self.emit(2, f"{r.kind.value} {r.source} -> {r.targets[0]}")
         self.emit(1, "}")
 
-    def _feature_like(self, e: Element) -> None:
-        keyword = "feature" if e.kind is ElementKind.FEATURE else "function"
+    def _owner(self, e: Element, keyword: str, body: list[Relation], statement) -> None:
+        """`e`'s head and properties, then a body of one `statement` per relation."""
         head = f"{keyword} {e.id} {quote(e.name)}"
         if e.level is not None:
             head += f" level {e.level.value}"
-        body = self._body_relations(e.id)
-        if not body:
-            self._props_block(2, e.properties, head)
-            return
-        if e.properties:
-            self._props_block(2, e.properties, head)
-            self.emit(2, "{")
-        else:
+        if body and not e.properties:
             self.emit(2, head + " {")
+        else:
+            self._props_block(2, e.properties, head)
+            if not body:
+                return
+            self.emit(2, "{")
         for rel in body:
-            self._frel(rel)
+            statement(rel)
         self.emit(2, "}")
 
     def _body_relations(self, parent: str) -> list[Relation]:
@@ -221,7 +220,10 @@ class _Printer:
             return
         self.emit(1, "structural {")
         for block in blocks:
-            self._block(block)
+            attached = self.model.index.outgoing(
+                block.id, RelationKind.REFERENCES, RelationKind.KB_REF
+            )
+            self._owner(block, "block", attached, self._attached)
         for r in rels:
             if r.kind is RelationKind.EFFECT:
                 self.emit(2, f"effect {r.source} -> {r.targets[0]} {quote(r.label or '')}")
@@ -234,31 +236,14 @@ class _Printer:
                 self.emit(2, f"allocate {r.source} -> {r.targets[0]}")
         self.emit(1, "}")
 
-    def _block(self, block: Element) -> None:
-        head = f"block {block.id} {quote(block.name)}"
-        if block.level is not None:
-            head += f" level {block.level.value}"
-        attached = self.model.index.outgoing(
-            block.id, RelationKind.REFERENCES, RelationKind.KB_REF
-        )
-        if not attached:
-            self._props_block(2, block.properties, head)
+    def _attached(self, r: Relation) -> None:
+        if r.kind is RelationKind.KB_REF:
+            self.emit(3, f"kbref {r.targets[0]}")
             return
-        if block.properties:
-            self._props_block(2, block.properties, head)
-            self.emit(2, "{")
-        else:
-            self.emit(2, head + " {")
-        for r in attached:
-            if r.kind is RelationKind.KB_REF:
-                self.emit(3, f"kbref {r.targets[0]}")
-            else:
-                variant = self.model.lookup(r.targets[0])
-                if variant is None:
-                    continue
-                head = f"variant {variant.id} {quote(variant.name)}"
-                self._props_block(3, variant.properties, head)
-        self.emit(2, "}")
+        variant = self.model.lookup(r.targets[0])
+        if variant is not None:
+            head = f"variant {variant.id} {quote(variant.name)}"
+            self._props_block(3, variant.properties, head)
 
     def _knowledge(self) -> None:
         entries = self.model.elements_of_kind(ElementKind.KNOWLEDGE_ENTRY)

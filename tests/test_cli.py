@@ -432,6 +432,31 @@ def test_kb_extract_missing_year_warns_on_stderr(tmp_path):
     assert "entry B_battery" in out
 
 
+@pytest.mark.parametrize(
+    "epoch", ["abc", "99999999999999999999"], ids=["not-a-number", "out-of-range"]
+)
+def test_kb_extract_refuses_a_bad_source_date_epoch(tmp_path, epoch):
+    store = tmp_path / "kb.imogkb"
+    code, out, err = invoke(
+        "kb", "--store", str(store), "extract", ESCOOTER, "B_battery",
+        env={"SOURCE_DATE_EPOCH": epoch},
+    )
+    assert (code, out) == (2, "")
+    assert err == f"imog: SOURCE_DATE_EPOCH={epoch!r} is not a count of seconds in range\n"
+    assert not store.exists()
+
+
+def test_kb_extract_fallback_year_is_the_whole_timestamp_year(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    code, out, err = invoke(
+        "kb", "--store", str(store), "extract", ESCOOTER, "B_battery",
+        env={"SOURCE_DATE_EPOCH": "99999999999999"},
+    )
+    assert code == 0
+    assert "has no usable year property, assuming 3170843" in err
+    assert 'year=3170843 provenance="E-Scooter@3170843-11-07T09:46:39Z"' in out
+
+
 def test_kb_query_on_a_year_of_non_ascii_digits_exits_two(tmp_path):
     store = tmp_path / "kb.imogkb"
     store.write_text('entry K name="k" type=t year=² provenance="m@t"\n', encoding="utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from imog.model import (
     ProcessStep,
     Relation,
     RelationKind,
+    RequirementBody,
     Role,
     Space,
     step_info,
@@ -204,6 +206,24 @@ def test_model_mappings_are_read_only(escooter):
         assert copied == escooter
         assert copied.spans == escooter.spans
         assert copied.relations_of("F_root") == escooter.relations_of("F_root")
+
+
+def test_structurally_equal_tells_apart_each_part():
+    block = Element("B", ElementKind.BLOCK, "b")
+    req = Element("R", ElementKind.REQUIREMENT, "r")
+    rel = Relation(RelationKind.CONSTRAINS, "R", ("B",))
+    body = RequirementBody("R", "B", "weight", "<=", 1)
+    base = Model("M", {"B": block, "R": req}, (rel,), (body,))
+    assert structurally_equal(base, replace(base, spans={"B": None}))
+    differing = {
+        "name": replace(base, name="N"),
+        "elements": replace(base, elements={"B": block, "R": replace(req, name="s")}),
+        "relation multiset": replace(base, relations=(rel, rel)),
+        "body multiset": replace(base, requirement_bodies=(body, body)),
+    }
+    for part, other in differing.items():
+        assert not structurally_equal(base, other), part
+        assert not structurally_equal(other, base), part
 
 
 def test_model_keeps_its_own_copy_of_the_mappings():

@@ -301,6 +301,36 @@ def test_report_records_are_line_delimited_json(escooter):
     assert kinds == {"unallocated", "unconstrained", "goal"}
 
 
+def test_report_records_carry_each_conflict_field(conflict_model):
+    import json
+
+    text = trace.report_to_records(trace.coverage_report(conflict_model))
+    records = [json.loads(line) for line in text.splitlines()]
+    conflicts = [r for r in records if r["record"] == "conflict"]
+    assert conflicts == [
+        {
+            "record": "conflict",
+            "block": "B_mount",
+            "attribute": "weight",
+            "unit": "kg",
+            "requirements": [
+                {
+                    "owner": "R_sturdy",
+                    "origin": "direct",
+                    "via": None,
+                    "interval": "[30, inf]",
+                },
+                {
+                    "owner": "R_light",
+                    "origin": "allocation",
+                    "via": "F_hook",
+                    "interval": "[-inf, 25]",
+                },
+            ],
+        }
+    ]
+
+
 # --- differential test of the iterative effective-requirements walk ----------
 
 
