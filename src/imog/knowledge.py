@@ -11,13 +11,22 @@ Store line format (`kb.imogkb`):
 
 Lines starting with `#` are comments; saving canonicalizes (id-sorted,
 comments dropped) and replaces the file atomically.
+
+A line is read in two steps. `_LINE` matches the exact shape that
+`format_entry` writes (single spaces, fields in the order above), so a
+saved store is read with one match and one `findall` per line. Any other
+line, and a line of that shape that fails a check (a year before 1900
+or out of range, a provenance without `@`, a bare property value that is
+neither a bool nor a number), goes to the field loop, which reads fields
+in any order. Only the field loop raises, so every reason a line is
+refused, and which reason wins, is decided in one place.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
+import stat
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,14 +45,23 @@ _EXTRACTABLE = frozenset(
 )
 
 # \Z, not $, which also matches before a final "\n"; ASCII digits only
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_NUMBER_RE = re.compile(r"(-?[0-9]+(?:\.[0-9]+)?)([A-Za-z_][A-Za-z0-9_]*)?\Z")
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"{_ID}\Z")
+_NUMBER_RE = re.compile(rf"(-?[0-9]+(?:\.[0-9]+)?)({_ID})?\Z")
 
 # A store line: `entry <id>`, then `key=value` fields. A value is quoted
 # (backslash escapes, no raw `"`) or bare (no whitespace, no leading `"`).
+_TEXT = r'[^"\\]*(?:\\.[^"\\]*)*'
+_BARE = r'[^\s"]\S*'
 _HEAD = re.compile(r"([^\s=]*) *([^\s=]*) *")
 _KEY = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_FIELD = re.compile(rf'({_KEY.pattern})=(?:"([^"\\]*(?:\\.[^"\\]*)*)"|([^\s"]\S*)) *')
+_FIELD = re.compile(rf'({_KEY.pattern})=(?:"({_TEXT})"|({_BARE})) *')
+# The shape `format_entry` writes; `_PROP` reads its props group.
+_PROP = re.compile(rf' prop\.({_ID})=(?:"({_TEXT})"|({_BARE}))')
+_LINE = re.compile(
+    rf'entry ({_ID}) name="({_TEXT})" type=({_ID}) year=([0-9]+)'
+    rf'((?: prop\.{_ID}=(?:"{_TEXT}"|{_BARE}))*) provenance="({_TEXT})"\Z'
+)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPED = {"n": "\n", "t": "\t"}
 _BOOLS = {"true": True, "false": False}
@@ -51,6 +69,11 @@ _BOOLS = {"true": True, "false": False}
 
 def _unescape(m: re.Match[str]) -> str:
     return _ESCAPED.get(m[1], m[1])
+
+
+def _text(quoted: str) -> str:
+    """A quoted value's text, its escapes decoded."""
+    return _ESCAPE.sub(_unescape, quoted) if "\\" in quoted else quoted
 
 
 @dataclass(frozen=True)
@@ -91,7 +114,8 @@ def extract(
     The entry type comes from a `stereotype` property when present, else
     from the element kind; the availability year from a `year` property.
     A missing or pre-1900 year is flagged (W-401) and replaced by the
-    extraction year.
+    extraction year; if that year is itself before 1900 (an early
+    SOURCE_DATE_EPOCH), ImogError is raised, since the store refuses it.
     """
     ts = timestamp or current_timestamp()
     fallback_year = int(ts.rsplit("-", 2)[0])  # the year may have any number of digits
@@ -107,6 +131,12 @@ def extract(
         entry_type = stereotype if isinstance(stereotype, str) else element.kind.value
         year = element.property_value("year")
         if not isinstance(year, int) or isinstance(year, bool) or year < MIN_YEAR:
+            if fallback_year < MIN_YEAR:
+                raise ImogError(
+                    f"{element_id!r} has no usable year property, and the fallback "
+                    f"year {fallback_year} of timestamp {ts!r} is before {MIN_YEAR}; "
+                    "set SOURCE_DATE_EPOCH to a later time"
+                )
             diags.append(
                 make(
                     "W-401",
@@ -162,8 +192,54 @@ def _field_error(line: str, pos: int) -> str:
     return f"missing value for {key}"
 
 
+def _property(key: str, value: str, quoted: bool) -> Property | None:
+    """A `prop.` field's property: a quoted string, a bool, or a number
+    with an optional unit. None for any other bare value."""
+    if quoted:
+        return Property(key, value)
+    if value in _BOOLS:
+        return Property(key, _BOOLS[value])
+    number = _NUMBER_RE.match(value)
+    if number is None:
+        return None
+    try:
+        return Property(key, read_number(number[1]), number[2])
+    except ValueError:
+        return None
+
+
+def _shaped(m: re.Match[str]) -> KnowledgeEntry | None:
+    """The entry of a `_LINE` match, or None where the field loop must decide."""
+    entry_id, name, entry_type, year, props, provenance = m.groups()
+    try:
+        year_available = read_number(year)
+    except ValueError:
+        return None
+    model_name, sep, ts = _text(provenance).rpartition("@")
+    if year_available < MIN_YEAR or not sep:
+        return None
+    properties = []
+    for key, quoted, bare in _PROP.findall(props):
+        prop = _property(key, bare or _text(quoted), not bare)
+        if prop is None:
+            return None
+        properties.append(prop)
+    return KnowledgeEntry(
+        entry_id, _text(name), entry_type, year_available, tuple(properties), (model_name, ts)
+    )
+
+
 def _parse_line(path: str, line_no: int, line: str) -> KnowledgeEntry:
-    """One stripped store line; a repeated scalar field keeps its last value."""
+    """One stripped store line: one match for the shape `format_entry`
+    writes, else the field loop."""
+    m = _LINE.match(line)
+    entry = None if m is None else _shaped(m)
+    return _parse_fields(path, line_no, line) if entry is None else entry
+
+
+def _parse_fields(path: str, line_no: int, line: str) -> KnowledgeEntry:
+    """Any store line, field by field; a repeated scalar field keeps its
+    last value. The one reader that raises for a bad line."""
 
     def fail(reason: str) -> StoreCorruptError:
         return StoreCorruptError(path, line_no, reason)
@@ -187,7 +263,7 @@ def _parse_line(path: str, line_no: int, line: str) -> KnowledgeEntry:
         key, quoted, value = m.groups()
         pos = m.end()
         if quoted is not None:
-            value = _ESCAPE.sub(_unescape, quoted) if "\\" in quoted else quoted
+            value = _text(quoted)
         if key == "name":
             if quoted is None:
                 raise fail("name must be quoted")
@@ -214,18 +290,10 @@ def _parse_line(path: str, line_no: int, line: str) -> KnowledgeEntry:
             prop_key = key[5:]
             if not _TOKEN_RE.match(prop_key):
                 raise fail(f"bad property key {prop_key!r}")
-            unit = None
-            if quoted is None and value in _BOOLS:
-                value = _BOOLS[value]
-            elif quoted is None:
-                number = _NUMBER_RE.match(value)
-                try:
-                    if number is None:
-                        raise ValueError
-                    value, unit = read_number(number[1]), number[2]
-                except ValueError:
-                    raise fail(f"bad value {value!r} for property {prop_key!r}") from None
-            props.append(Property(prop_key, value, unit))
+            prop = _property(prop_key, value, quoted is not None)
+            if prop is None:
+                raise fail(f"bad value {value!r} for property {prop_key!r}")
+            props.append(prop)
         else:
             raise fail(f"unknown field {key!r}")
     if name is None or entry_type is None or year is None:
@@ -286,21 +354,31 @@ def save(store: str | Path, entries: list[KnowledgeEntry]) -> int:
     replaced atomically, so a reader never sees half a store. Only the new
     lines are read back first: one that `load` would refuse or change
     raises ImogError, and the file stays as it was.
+
+    The write goes to the file a symlinked store points to, and keeps its
+    mode; a new store gets the mode `open()` gives (0o666 less the umask).
+    Nothing is fsynced, and nothing locks the store against another save.
     """
     path = Path(store)
-    merged = {entry.id: entry for entry in load(path)} if path.exists() else {}
+    target = os.path.realpath(path)
+    try:
+        mode: int | None = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        mode = None
+    merged = {} if mode is None else {entry.id: entry for entry in load(path)}
     new = {entry.id: entry for entry in entries}
     merged.update(new)
     lines = {k: format_entry(merged[k]) for k in sorted(merged)}
     for k, entry in new.items():
         _read_back(str(path), entry, lines[k])
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp"
-    )
+    tmp_name = f"{target}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp_name, "x", encoding="utf-8")  # mode 0o666 less the umask, as any new file
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp_name, mode)
             fh.write("\n".join(lines.values()) + ("\n" if lines else ""))
-        os.replace(tmp_name, path)
+        os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)

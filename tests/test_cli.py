@@ -457,6 +457,24 @@ def test_kb_extract_fallback_year_is_the_whole_timestamp_year(tmp_path):
     assert 'year=3170843 provenance="E-Scooter@3170843-11-07T09:46:39Z"' in out
 
 
+def test_kb_extract_refuses_a_fallback_year_before_1900(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    env = {"SOURCE_DATE_EPOCH": "-99999999999999"}
+    code, out, err = invoke(
+        "kb", "--store", str(store), "extract", ESCOOTER, "B_battery", env=env
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "W-401" not in err
+    assert err.startswith("imog: 'B_battery' has no usable year property")
+    assert "-3166904" in err and "SOURCE_DATE_EPOCH" in err
+    assert not store.exists()
+    code, out, err = invoke(
+        "kb", "--store", str(store), "extract", ESCOOTER, "B_motor", env=env
+    )
+    assert (code, err) == (0, "")
+    assert "year=2025" in out
+
+
 def test_kb_query_on_a_year_of_non_ascii_digits_exits_two(tmp_path):
     store = tmp_path / "kb.imogkb"
     store.write_text('entry K name="k" type=t year=² provenance="m@t"\n', encoding="utf-8")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import stat
 
 import pytest
 
@@ -151,6 +153,44 @@ def test_save_refuses_an_entry_that_does_not_read_back(tmp_path, kb_store, entry
     assert not isinstance(exc.value, StoreCorruptError)
     assert str(exc.value) == f"cannot store {entry.id!r}: {reason}"
     assert kb_store.read_bytes() == before
+
+
+def test_save_keeps_the_store_mode(kb_store):
+    kb_store.chmod(0o640)
+    knowledge.save(kb_store, [KnowledgeEntry("K", "k", "t", 2024, (), ("m", TS))])
+    assert stat.S_IMODE(kb_store.stat().st_mode) == 0o640
+
+
+def test_save_through_a_symlink_writes_its_target(tmp_path, kb_store):
+    link = tmp_path / "link.imogkb"
+    link.symlink_to(kb_store.name)
+    before = {e.id for e in knowledge.load(kb_store)}
+    knowledge.save(link, [KnowledgeEntry("K", "k", "t", 2024, (), ("m", TS))])
+    assert link.is_symlink() and link.resolve() == kb_store.resolve()
+    assert {e.id for e in knowledge.load(kb_store)} == before | {"K"}
+
+
+def test_new_store_gets_the_umask_mode(tmp_path):
+    store = tmp_path / "new.imogkb"
+    umask = os.umask(0o027)
+    try:
+        knowledge.save(store, [KnowledgeEntry("K", "k", "t", 2024, (), ("m", TS))])
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(store.stat().st_mode) == 0o640
+
+
+def test_failed_write_leaves_the_store_and_no_temporary_file(tmp_path, kb_store, monkeypatch):
+    before = kb_store.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        knowledge.save(kb_store, [KnowledgeEntry("K", "k", "t", 2024, (), ("m", TS))])
+    assert kb_store.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.imogkb"]
 
 
 def test_load_corrupt_store_names_line():
@@ -492,3 +532,65 @@ def test_whole_stores_match_reference(tmp_path):
             _outcome(knowledge_reference.load, store),
             text,
         )
+
+
+def test_written_lines_take_the_one_match_path():
+    # a writer change that leaves `_LINE`'s shape would silently send
+    # every saved line back to the field loop
+    rng = random.Random(6006)
+    lines = _store_lines(rng, 300) + golden_text("escooter.kb_extract.imogkb").splitlines()
+    for line in lines:
+        m = knowledge._LINE.match(line)
+        assert m is not None, line
+        assert knowledge._shaped(m) == knowledge._parse_fields("s", 1, line), line
+
+
+_WRITTEN = 'entry K name="k" type=t year=2024 prop.m=5kg prop.s="x" provenance="m@2026"'
+
+
+@pytest.mark.parametrize(
+    "old, new, want",
+    [
+        ("year=2024", "year=1899", "year 1899 is before 1900"),
+        ('"m@2026"', '"m2026"', "provenance must be model@timestamp"),
+        ("=5kg", "=abc", "bad value 'abc' for property 'm'"),
+        ('name="k"', r'name="a\qb"', None),
+        ('name="k"', 'name="a\tb"', None),
+        ('=5kg prop.s="x" provenance="m@2026"', '=abc prop.s="x" provenance="m2026"',
+         "bad value 'abc' for property 'm'"),
+        ("year=2024 prop.m=5kg", "year=1899 prop.m=abc", "bad value 'abc' for property 'm'"),
+    ],
+    ids=["year-1899", "provenance-no-at", "bad-prop", "unknown-escape", "raw-tab",
+         "bad-prop-then-bad-provenance", "early-year-then-bad-prop"],
+)
+def test_near_misses_of_the_written_shape_match_reference(old, new, want):
+    line = _WRITTEN.replace(old, new)
+    assert line != _WRITTEN and knowledge._LINE.match(line)
+    got = _outcome(knowledge._parse_line, "s", 7, line)
+    assert got == _outcome(knowledge._parse_fields, "s", 7, line)
+    assert got == _outcome(knowledge_reference._parse_line, "s", 7, line)
+    if want is not None:
+        assert got == (7, want)
+
+
+def test_a_309_digit_year_in_the_written_shape_is_a_bad_year():
+    # the reference reads years with a bare int(), so it has no number range
+    year = "1" + "0" * 308
+    line = _WRITTEN.replace("year=2024", f"year={year}")
+    assert knowledge._LINE.match(line)
+    want = (7, f"bad year {year!r}")
+    assert _outcome(knowledge._parse_line, "s", 7, line) == want
+    assert _outcome(knowledge._parse_fields, "s", 7, line) == want
+
+
+def test_one_match_path_agrees_with_the_field_loop_on_damaged_lines():
+    rng = random.Random(6009)
+    base = _FIXTURE_LINES + _store_lines(rng, 200)
+    shaped = 0
+    for _ in range(4000):
+        line = _damage(rng, rng.choice(base)).strip()
+        shaped += knowledge._LINE.match(line) is not None
+        assert _outcome(knowledge._parse_line, "s", 7, line) == _outcome(
+            knowledge._parse_fields, "s", 7, line
+        ), line
+    assert shaped >= 500
