@@ -28,6 +28,10 @@ EXIT_OK = 0
 EXIT_ERRORS = 1
 EXIT_USAGE = 2
 
+# what a command reads before its handler runs (`reads`; None: nothing)
+_PARSED = "parsed"
+_RESOLVED = "resolved"
+
 
 class _UsageError(Exception):
     pass
@@ -50,14 +54,18 @@ def _limit(text: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand sets its `handler` and what `run` reads for it:
+    nothing, a parsed model or a resolved model (`reads`)."""
     parser = _ArgumentParser(prog="imog", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="parse, resolve, validate, find conflicts")
+    p_check.set_defaults(handler=_cmd_check, reads=None)
     p_check.add_argument("file")
     p_check.add_argument("--format", choices=("text", "records"), default="text")
 
     p_vars = sub.add_parser("vars", help="variability analyses")
+    p_vars.set_defaults(handler=_cmd_vars, reads=_RESOLVED)
     p_vars.add_argument("file")
     g = p_vars.add_mutually_exclusive_group(required=True)
     g.add_argument("--count", action="store_true")
@@ -66,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--select", metavar="id=in,...")
 
     p_trace = sub.add_parser("trace", help="traceability analyses")
+    p_trace.set_defaults(handler=_cmd_trace, reads=_RESOLVED)
     p_trace.add_argument("file")
     g = p_trace.add_mutually_exclusive_group(required=True)
     g.add_argument("--coverage", action="store_true")
@@ -73,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--conflicts", action="store_true")
 
     p_view = sub.add_parser("view", help="filtered model, re-printed")
+    p_view.set_defaults(handler=_cmd_view, reads=_PARSED)
     p_view.add_argument("file")
     p_view.add_argument(
         "--levels",
@@ -89,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_view.add_argument("--out")
 
     p_export = sub.add_parser("export", help="graph, table or roadmap export")
+    p_export.set_defaults(handler=_cmd_export, reads=_PARSED)
     p_export.add_argument("file")
     g = p_export.add_mutually_exclusive_group(required=True)
     g.add_argument("--graph", action="store_true")
@@ -100,13 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_kb.add_argument("--store", default=None, help="store path (or $IMOG_KB)")
     kb_sub = p_kb.add_subparsers(dest="kb_command", required=True)
     p_extract = kb_sub.add_parser("extract", help="extract elements into the store")
+    p_extract.set_defaults(handler=_cmd_kb_extract, reads=_RESOLVED)
     p_extract.add_argument("file")
     p_extract.add_argument("ids", nargs="+")
     p_query = kb_sub.add_parser("query", help="filter store entries")
+    p_query.set_defaults(handler=_cmd_kb_query, reads=None)
     p_query.add_argument("--type")
     p_query.add_argument("--max-year", type=int)
     p_query.add_argument("--property-key")
     p_kb_check = kb_sub.add_parser("check", help="check kbrefs against the store")
+    p_kb_check.set_defaults(handler=_cmd_kb_check, reads=_RESOLVED)
     p_kb_check.add_argument("file")
 
     return parser
@@ -124,6 +138,21 @@ def _report(
     return EXIT_ERRORS if has_errors(diags) else EXIT_OK
 
 
+def _read(args, err: IO[str]) -> Model | None:
+    """The model of `args.file` as the command reads it, or None once its
+    parse or resolve diagnostics hold an error; reports them either way."""
+    result = parse_file(args.file)
+    diags = result.diagnostics
+    if result.model is not None and args.reads == _RESOLVED:
+        # looked up at call time, as check_model looks up its own call, so
+        # that a wrapper put on imog.resolve.resolve (perfbench/spans.py)
+        # also sees the analyses' resolve step
+        from .resolve import resolve
+
+        diags = diags + resolve(result.model)
+    return None if _report(diags, err) else result.model
+
+
 def _payload(args, out: IO[str], text: str) -> None:
     target = getattr(args, "out", None)
     if target:
@@ -133,11 +162,12 @@ def _payload(args, out: IO[str], text: str) -> None:
         out.write(text)
 
 
-def _cmd_check(args, out: IO[str], err: IO[str]) -> int:
+def _cmd_check(args, model: None, out: IO[str], err: IO[str]) -> int:
+    """Reads its own file: it reports in `--format` and always prints its summary."""
     result = parse_file(args.file)
-    diags = list(result.diagnostics)
+    diags = result.diagnostics
     if result.model is not None:
-        diags = result.diagnostics + check_model(result.model)
+        diags = diags + check_model(result.model)
     code = _report(diags, err, args.format)
     counts = {s: 0 for s in Severity}
     for d in diags:
@@ -148,22 +178,6 @@ def _cmd_check(args, out: IO[str], err: IO[str]) -> int:
         f"{counts[Severity.WARNING]} warning(s), {counts[Severity.INFO]} info(s)",
     )
     return code
-
-
-def _checked_model(args, err: IO[str]) -> tuple[Model | None, int]:
-    """Parse and resolve; analyses need a resolved model."""
-    result = parse_file(args.file)
-    if result.model is None:
-        return None, _report(result.diagnostics, err)
-    # looked up at call time, as check_model looks up its own call, so
-    # that a wrapper put on imog.resolve.resolve (perfbench/spans.py)
-    # also sees the analyses' resolve step
-    from .resolve import resolve
-
-    code = _report(result.diagnostics + resolve(result.model), err)
-    if code != EXIT_OK:
-        return None, code
-    return result.model, EXIT_OK
 
 
 def _parse_selection(text: str) -> dict[str, bool]:
@@ -181,10 +195,7 @@ def _parse_selection(text: str) -> dict[str, bool]:
     return decisions
 
 
-def _cmd_vars(args, out: IO[str], err: IO[str]) -> int:
-    model, code = _checked_model(args, err)
-    if model is None:
-        return code
+def _cmd_vars(args, model: Model, out: IO[str], err: IO[str]) -> int:
     if args.count:
         _emit(out, str(variability.count_configurations(model)))
     elif args.enumerate is not None:
@@ -207,10 +218,7 @@ def _cmd_vars(args, out: IO[str], err: IO[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_trace(args, out: IO[str], err: IO[str]) -> int:
-    model, code = _checked_model(args, err)
-    if model is None:
-        return code
+def _cmd_trace(args, model: Model, out: IO[str], err: IO[str]) -> int:
     if args.coverage:
         _emit(out, trace.report_to_text(trace.coverage_report(model)))
         return EXIT_OK
@@ -218,79 +226,57 @@ def _cmd_trace(args, out: IO[str], err: IO[str]) -> int:
         for element_id in sorted(trace.impact(model, args.impact)):
             _emit(out, element_id)
         return EXIT_OK
-    diags = trace.conflict_diagnostics(model)
-    return _report(diags, err)
+    return _report(trace.conflict_diagnostics(model), err)
 
 
-def _cmd_view(args, out: IO[str], err: IO[str]) -> int:
-    result = parse_file(args.file)
-    code = _report(result.diagnostics, err)
-    if result.model is None:
-        return code
+def _cmd_view(args, model: Model, out: IO[str], err: IO[str]) -> int:
     view = views.filter_view(
-        result.model,
+        model,
         [AbstractionLevel(l) for l in args.levels],
         [Perspective(p) for p in args.perspectives],
     )
     _payload(args, out, print_model(view))
-    return code
+    return EXIT_OK
 
 
-def _cmd_export(args, out: IO[str], err: IO[str]) -> int:
-    result = parse_file(args.file)
-    code = _report(result.diagnostics, err)
-    if result.model is None:
-        return code
+def _cmd_export(args, model: Model, out: IO[str], err: IO[str]) -> int:
     if args.graph:
-        text = views.export_graph(result.model)
+        text = views.export_graph(model)
     elif args.reqtable:
-        text = views.export_requirements_table(result.model)
+        text = views.export_requirements_table(model)
     else:
-        text = views.roadmap_scaffold(result.model)
+        text = views.roadmap_scaffold(model)
     _payload(args, out, text)
-    return code
+    return EXIT_OK
 
 
 def _store_path(args) -> str:
-    if args.store:
-        return args.store
-    return os.environ.get("IMOG_KB", DEFAULT_STORE)
+    return args.store or os.environ.get("IMOG_KB", DEFAULT_STORE)
 
 
-def _cmd_kb(args, out: IO[str], err: IO[str]) -> int:
-    store = _store_path(args)
-    if args.kb_command == "query":
-        entries = knowledge.query(
-            store,
-            type=args.type,
-            max_year=args.max_year,
-            property_key=args.property_key,
-        )
-        for entry in entries:
-            _emit(out, knowledge.format_entry(entry))
-        return EXIT_OK
-    model, code = _checked_model(args, err)
-    if model is None:
-        return code
-    if args.kb_command == "extract":
-        result = knowledge.extract(model, args.ids)
-        code = _report(result.diagnostics, err)
-        knowledge.save(store, result.entries)
-        for entry in result.entries:
-            _emit(out, knowledge.format_entry(entry))
-        return code
-    diags = knowledge.check_kbrefs(model, store)
-    return _report(diags, err)
+def _cmd_kb_query(args, model: None, out: IO[str], err: IO[str]) -> int:
+    entries = knowledge.query(
+        _store_path(args),
+        type=args.type,
+        max_year=args.max_year,
+        property_key=args.property_key,
+    )
+    for entry in entries:
+        _emit(out, knowledge.format_entry(entry))
+    return EXIT_OK
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "vars": _cmd_vars,
-    "trace": _cmd_trace,
-    "view": _cmd_view,
-    "export": _cmd_export,
-    "kb": _cmd_kb,
-}
+def _cmd_kb_extract(args, model: Model, out: IO[str], err: IO[str]) -> int:
+    result = knowledge.extract(model, args.ids)
+    code = _report(result.diagnostics, err)
+    knowledge.save(_store_path(args), result.entries)
+    for entry in result.entries:
+        _emit(out, knowledge.format_entry(entry))
+    return code
+
+
+def _cmd_kb_check(args, model: Model, out: IO[str], err: IO[str]) -> int:
+    return _report(knowledge.check_kbrefs(model, _store_path(args)), err)
 
 
 def run(
@@ -300,10 +286,12 @@ def run(
 ) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-        return _COMMANDS[args.command](args, out, err)
+        args = build_parser().parse_args(list(argv))
+        model = _read(args, err) if args.reads else None
+        if args.reads and model is None:  # its diagnostics held an error
+            return EXIT_ERRORS
+        return args.handler(args, model, out, err)
     except _UsageError as exc:
         err.write(str(exc).rstrip("\n") + "\n")
         return EXIT_USAGE

@@ -35,7 +35,7 @@ from .diagnostics import Diagnostic, make, sort_diagnostics
 from .errors import ImogError, KindNotExtractableError, StoreCorruptError
 from .errors import UnknownElementError
 from .model import ElementKind, Model, Property, RelationKind
-from .lexer import read_number
+from .lexer import ESCAPES, read_number
 from .printer import escape_string, format_value
 
 MIN_YEAR = 1900
@@ -63,17 +63,14 @@ _LINE = re.compile(
     rf'((?: prop\.{_ID}=(?:"{_TEXT}"|{_BARE}))*) provenance="({_TEXT})"\Z'
 )
 _ESCAPE = re.compile(r"\\(.)")
-_ESCAPED = {"n": "\n", "t": "\t"}
 _BOOLS = {"true": True, "false": False}
 
 
-def _unescape(m: re.Match[str]) -> str:
-    return _ESCAPED.get(m[1], m[1])
-
-
 def _text(quoted: str) -> str:
-    """A quoted value's text, its escapes decoded."""
-    return _ESCAPE.sub(_unescape, quoted) if "\\" in quoted else quoted
+    """A quoted value's text, its escapes decoded with the lexer's table."""
+    if "\\" not in quoted:
+        return quoted
+    return _ESCAPE.sub(lambda m: ESCAPES.get(m[1], m[1]), quoted)
 
 
 @dataclass(frozen=True)

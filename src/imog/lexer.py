@@ -144,7 +144,8 @@ _TOKEN = re.compile(
 )
 _ESCAPE = re.compile(r"\\(.?)")
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+# what each escape in a string decodes to; the store decodes with it too
+ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 # In range: at most 308 digits before the point and below 1e308, also as a
 # float. So `int()` stays below its 4,300-digit limit, and `format_number`
@@ -178,9 +179,9 @@ def tokenize(source: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
     def unescape(m: re.Match[str]) -> str:
         """One escape of the string at `start`; an unknown one is reported."""
         esc = m[1] or ("\n" if line < len(lines) else "")  # a backslash ends the line
-        if esc not in _ESCAPES:
+        if esc not in ESCAPES:
             error(f"unknown escape \\{esc}", start, start + 1 + m.start())
-        return _ESCAPES.get(esc, m[1])
+        return ESCAPES.get(esc, m[1])
 
     lines = source.split("\n")
     for line, text in enumerate(lines, 1):

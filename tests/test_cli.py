@@ -91,10 +91,10 @@ def test_argument_parser_is_built_once_and_reused(capsys):
 
 
 def test_unexpected_exception_is_one_internal_error_line(monkeypatch):
-    def broken(args, out, err):
+    def broken(path):
         raise RuntimeError("boom\n  at depth")
 
-    monkeypatch.setitem(cli._COMMANDS, "check", broken)
+    monkeypatch.setattr(cli, "parse_file", broken)
     code, out, err = invoke("check", ESCOOTER)
     assert code == 2
     assert out == ""
@@ -148,24 +148,29 @@ def test_check_repeated_model_headers(repeated_headers):
     assert lines and all(line.startswith("P-001 error") for line in lines)
 
 
-def assert_every_command_ends_in_an_exit_code(path: str, store: str) -> None:
-    """Each subcommand and analysis flag on `path` exits 0, 1 or 2, never crashing."""
-    for argv in (
+def every_file_command(path: str, store: str, element: str = "F1") -> list[tuple]:
+    """Each subcommand and analysis flag that reads the model file `path`."""
+    return [
         ("check", path),
         ("vars", path, "--count"),
         ("vars", path, "--enumerate", "3"),
         ("vars", path, "--dead"),
-        ("vars", path, "--select", "F1=in"),
+        ("vars", path, "--select", f"{element}=in"),
         ("trace", path, "--coverage"),
-        ("trace", path, "--impact", "F1"),
+        ("trace", path, "--impact", element),
         ("trace", path, "--conflicts"),
         ("view", path, "--levels", "system", "--perspectives", "functional"),
         ("export", path, "--graph"),
         ("export", path, "--reqtable"),
         ("export", path, "--roadmap"),
-        ("kb", "--store", store, "extract", path, "F1"),
+        ("kb", "--store", store, "extract", path, element),
         ("kb", "--store", store, "check", path),
-    ):
+    ]
+
+
+def assert_every_command_ends_in_an_exit_code(path: str, store: str) -> None:
+    """Each subcommand and analysis flag on `path` exits 0, 1 or 2, never crashing."""
+    for argv in every_file_command(path, store):
         code, _out, err = invoke(*argv)
         assert code in (0, 1, 2), argv
         assert "internal error" not in err, argv
@@ -328,6 +333,38 @@ def test_vars_select_conflict_reported():
     )
     assert code == 0
     assert "conflict:" in out
+
+
+def test_vars_enumerate_limit_that_is_not_a_number_is_a_usage_error():
+    code, out, err = invoke("vars", ESCOOTER, "--enumerate", "abc")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0] == "imog vars: error: argument --enumerate: invalid int value: 'abc'"
+    assert lines[1].startswith("usage: imog vars ")
+
+
+def test_vars_select_skips_blank_parts():
+    assert invoke("vars", ESCOOTER, "--select", "F_swap=in,,") == invoke(
+        "vars", ESCOOTER, "--select", "F_swap=in"
+    )
+    code, out, _err = invoke("vars", ESCOOTER, "--select", "F_swap=in,,")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_vars_select_bad_part_is_a_usage_error():
+    code, out, err = invoke("vars", ESCOOTER, "--select", "F_swap=maybe")
+    assert (code, out) == (2, "")
+    assert err == "bad selection 'F_swap=maybe': expected id=in or id=out\n"
+
+
+def test_vars_dead_lists_dead_features_sorted(tmp_path):
+    path = tmp_path / "dead.imog"
+    path.write_text(
+        'model "M" { functional { feature R "r" { mandatory A optional D optional C } '
+        'feature A "a" feature D "d" feature C "c" excludes A -> C excludes A -> D } }\n',
+        encoding="utf-8",
+    )
+    assert invoke("vars", str(path), "--dead") == (0, "C\nD\n", "")
 
 
 def test_trace_coverage_payload_on_stdout():
@@ -661,6 +698,43 @@ def test_parse_error_exits_one():
         assert "P-001" in err
     finally:
         bad.unlink()
+
+
+# --- what each command reads: its own parse, a parsed or a resolved model ---
+
+
+def test_a_model_that_does_not_parse_stops_every_command(tmp_path):
+    path = tmp_path / "bad.imog"
+    path.write_text('model "M" { functional { feature F }\n', encoding="utf-8")
+    store = tmp_path / "kb.imogkb"
+    parse_errors = (
+        f"P-001 error {path}:1:36 expected name string, found '}}'\n"
+        f"P-001 error {path}:2:1 unexpected end of input, expected '}}'\n"
+    )
+    for argv in every_file_command(str(path), str(store), "F"):
+        summary = f"{path}: 2 error(s), 0 warning(s), 0 info(s)\n" if argv[0] == "check" else ""
+        assert invoke(*argv) == (1, summary, parse_errors), argv
+    assert not store.exists()
+
+
+def test_only_view_and_export_print_a_model_that_does_not_resolve(tmp_path):
+    path = tmp_path / "dangling.imog"
+    path.write_text(
+        'model "M" { functional { feature F "f" { mandatory G } } }\n', encoding="utf-8"
+    )
+    store = tmp_path / "kb.imogkb"
+    r101 = f"R-101 error {path}:1:42 unresolved reference 'G' in mandatory relation [G F]\n"
+    for argv in every_file_command(str(path), str(store), "F"):
+        code, out, err = invoke(*argv)
+        if argv[0] in ("view", "export"):
+            assert (code, err) == (0, ""), argv
+            assert out, argv
+        elif argv[0] == "check":
+            assert code == 1 and r101 in err
+            assert out.startswith(f"{path}: 1 error(s)")
+        else:
+            assert (code, out, err) == (1, "", r101), argv
+    assert not store.exists()
 
 
 def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:

@@ -573,6 +573,12 @@ def test_near_misses_of_the_written_shape_match_reference(old, new, want):
         assert got == (7, want)
 
 
+def test_store_text_decodes_escapes_with_the_lexer_table():
+    # an escape the lexer does not know still decodes as its character
+    assert knowledge._text(r'a\"b\\c\nd\te\q') == 'a"b\\c\nd\teq'
+    assert knowledge._text("plain") == "plain"
+
+
 def test_a_309_digit_year_in_the_written_shape_is_a_bad_year():
     # the reference reads years with a bare int(), so it has no number range
     year = "1" + "0" * 308

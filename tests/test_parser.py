@@ -365,11 +365,17 @@ def test_recovery_wording_and_resume_point(case):
 
 def test_statement_words_are_reserved():
     # the statement loop dispatches on the lexeme alone, which is only
-    # right because no identifier can spell a statement word
+    # right because no identifier can spell a statement word; the lexer
+    # cannot import the parser, so this keeps its KEYWORDS in step
     tables = [v for v in vars(_Parser).values() if isinstance(v, dict)]
     assert len(tables) == 8
     for table in tables:
         assert set(table) <= KEYWORDS
+    statement_words = set().union(*tables)
+    assert len(statement_words) == 26
+    assert sorted(KEYWORDS - statement_words) == (
+        "attr component context false in level model on system true type year".split()
+    )
 
 
 # --- differential tests against the reference parser ---
