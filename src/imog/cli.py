@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", action="store_true")
     g.add_argument("--enumerate", type=_limit, metavar="N")
     g.add_argument("--dead", action="store_true")
-    g.add_argument("--select", metavar="id=in,...")
+    g.add_argument("--select", type=_parse_selection, metavar="id=in,...")
 
     p_trace = sub.add_parser("trace", help="traceability analyses")
     p_trace.set_defaults(handler=_cmd_trace, reads=_RESOLVED)
@@ -156,8 +156,7 @@ def _read(args, err: IO[str]) -> Model | None:
 def _payload(args, out: IO[str], text: str) -> None:
     target = getattr(args, "out", None)
     if target:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        knowledge.replace_file(target, text)
     else:
         out.write(text)
 
@@ -188,7 +187,7 @@ def _parse_selection(text: str) -> dict[str, bool]:
             continue
         element_id, sep, value = part.partition("=")
         if not sep or value not in ("in", "out"):
-            raise _UsageError(
+            raise argparse.ArgumentTypeError(
                 f"bad selection {part!r}: expected id=in or id=out"
             )
         decisions[element_id] = value == "in"
@@ -205,7 +204,7 @@ def _cmd_vars(args, model: Model, out: IO[str], err: IO[str]) -> int:
         for element_id in sorted(variability.dead_features(model)):
             _emit(out, element_id)
     else:
-        state = variability.propagate(model, _parse_selection(args.select))
+        state = variability.propagate(model, args.select)
         _emit(out, "forced-in: " + " ".join(sorted(state.forced_in)))
         _emit(out, "forced-out: " + " ".join(sorted(state.forced_out)))
         _emit(out, "open: " + " ".join(sorted(state.open)))

@@ -300,21 +300,40 @@ def _parse_fields(path: str, line_no: int, line: str) -> KnowledgeEntry:
     return KnowledgeEntry(entry_id, name, entry_type, year, tuple(props), provenance)
 
 
+# The last store text this process read or wrote; see `load`. Replaced
+# whole, never changed in place, so threads that read it at once stay safe.
+_slot = _EMPTY = ("", (), {}, {})
+
+
 def load(store: str | Path) -> list[KnowledgeEntry]:
     """All entries, id-sorted. Raises StoreCorruptError naming the bad line.
 
-    The file is decoded once (text-mode line breaks); bytes that are not
-    UTF-8 are reported on the line that holds the first of them.
+    The file is read and decoded on every call (text-mode line breaks), so
+    an edit made outside the process is always seen; bytes that are not
+    UTF-8 are reported on the line that holds the first of them. Only text
+    that differs from the slot's is parsed. The slot is (text, id-sorted
+    entries, {id: entry}, {id: line}) of the store text this process last
+    read or wrote: its entries are what `_read(text)` returns, and its
+    lines (none or all) are `format_entry(entry)` and read back as that
+    entry. Text that fails to parse raises and is never kept.
     """
-    path = Path(store)
-    name = str(path)
+    return list(_parsed(Path(store))[1])
+
+
+def _parsed(path: Path):
+    """The slot holding the text of `path`, which is parsed and kept
+    unless it is the slot's text."""
+    global _slot
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # exc.object holds the whole file
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise StoreCorruptError(name, line_no, f"not UTF-8 text: {exc.reason}") from None
-    entries = _read(name, text)
-    return [entries[k] for k in sorted(entries)]
+        raise StoreCorruptError(str(path), line_no, f"not UTF-8 text: {exc.reason}") from None
+    slot = _slot
+    if slot[0] != text:
+        entries = _read(str(path), text)
+        slot = _slot = (text, tuple(entries[k] for k in sorted(entries)), entries, {})
+    return slot
 
 
 def _read(name: str, text: str) -> dict[str, KnowledgeEntry]:
@@ -330,57 +349,85 @@ def _read(name: str, text: str) -> dict[str, KnowledgeEntry]:
     return entries
 
 
-def _read_back(name: str, entry: KnowledgeEntry, line: str) -> None:
-    """ImogError unless `load` reads `entry`'s line back as `entry`."""
+def _read_back(name: str, entry: KnowledgeEntry, line: str) -> KnowledgeEntry:
+    """The entry `load` reads from `entry`'s line; ImogError unless it
+    equals `entry`."""
     try:  # `load` reads with universal newlines: a raw "\r" ends a line
         back = _read(name, line.replace("\r", "\n"))
     except StoreCorruptError as exc:
         raise ImogError(f"cannot store {entry.id!r}: {exc.reason}") from None
     if back != {entry.id: entry}:
         raise ImogError(f"cannot store {entry.id!r}: it reads back changed")
+    return back[entry.id]  # equal, yet 2.0 reads back as the int 2
 
 
 def save(store: str | Path, entries: list[KnowledgeEntry]) -> int:
     """Append-or-replace by id; atomic replace; returns the store size.
 
-    Each save re-reads (`load`) and rewrites the whole store, so a run of
-    k extracts costs O(k x store size): superlinear in the number of
-    entries (perfbench's `knowledge.growth` is about 1.2). The rewrite
-    is deliberate: the file stays canonical (id-sorted, one entry per
-    line) so that committees can merge it as plain text, and it is
-    replaced atomically, so a reader never sees half a store. Only the new
-    lines are read back first: one that `load` would refuse or change
-    raises ImogError, and the file stays as it was.
-
-    The write goes to the file a symlinked store points to, and keeps its
-    mode; a new store gets the mode `open()` gives (0o666 less the umask).
-    Nothing is fsynced, and nothing locks the store against another save.
+    Each save still reads and rewrites the whole store, O(store) bytes,
+    so a run of k extracts moves O(k x store size) bytes. Parsing and
+    formatting are O(new entries) when the store text is the one this
+    process last wrote (`load`); when it last only read it, every entry is
+    formatted again, and otherwise the whole text is parsed too, as in a
+    fresh process. perfbench's `knowledge.growth`, the log-log slope of an
+    extract's store time against store size, reads below 0.1 on stores of
+    up to 600 entries, where the per-save cost outweighs the byte work.
+    The rewrite is deliberate: the file stays canonical (id-sorted, one
+    entry per line) so that committees can merge it as plain text, and it
+    is replaced atomically (`replace_file`), so a reader never sees half a
+    store. Only the new lines are read back first: one that `load` would
+    refuse or change raises ImogError, and the file stays as it was.
+    Nothing locks the store against another save.
     """
+    global _slot
     path = Path(store)
+    name = str(path)
+    try:
+        text, _, old, known = _parsed(path)
+    except FileNotFoundError:
+        text, _, old, known = _EMPTY
+    lines = dict(known) if known else {k: format_entry(e) for k, e in old.items()}
+    # a line found verbatim in the old text is the line its entry was
+    # read from, so it reads back as that entry
+    canonical = bool(known) or set(text.split("\n")).issuperset(lines.values())
+    new = {entry.id: entry for entry in entries}
+    lines.update((k, format_entry(new[k])) for k in sorted(new))
+    merged = {**old, **new}
+    for k, entry in new.items():
+        merged[k] = _read_back(name, entry, lines[k])
+    ids = sorted(merged)
+    written = "\n".join(map(lines.__getitem__, ids)) + ("\n" if ids else "")
+    replace_file(path, written)
+    _slot = (written, tuple(map(merged.__getitem__, ids)), merged, lines) if canonical else _EMPTY
+    return len(merged)
+
+
+def replace_file(path: str | Path, text: str) -> None:
+    """Write `text` to `path` whole, or leave the file as it was.
+
+    A temporary file beside the file that a symlinked `path` points to
+    replaces that file (`os.replace`) and takes its mode; a new file gets
+    the mode `open()` gives (0o666 less the umask). Nothing is fsynced.
+    A failure removes the temporary file, and its error names `path`.
+    """
     target = os.path.realpath(path)
     try:
         mode: int | None = stat.S_IMODE(os.stat(target).st_mode)
     except FileNotFoundError:
         mode = None
-    merged = {} if mode is None else {entry.id: entry for entry in load(path)}
-    new = {entry.id: entry for entry in entries}
-    merged.update(new)
-    lines = {k: format_entry(merged[k]) for k in sorted(merged)}
-    for k, entry in new.items():
-        _read_back(str(path), entry, lines[k])
     tmp_name = f"{target}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp_name, "x", encoding="utf-8")  # mode 0o666 less the umask, as any new file
     try:
-        with fh:
+        with open(tmp_name, "x", encoding="utf-8") as fh:
             if mode is not None:
                 os.chmod(tmp_name, mode)
-            fh.write("\n".join(lines.values()) + ("\n" if lines else ""))
+            fh.write(text)
         os.replace(tmp_name, target)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
+        if isinstance(exc, OSError) and exc.filename == tmp_name:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
-    return len(merged)
 
 
 def query(

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -351,10 +352,19 @@ def test_vars_select_skips_blank_parts():
     assert code == 0 and len(out.splitlines()) == 3
 
 
-def test_vars_select_bad_part_is_a_usage_error():
+def test_vars_select_bad_part_is_a_usage_error(tmp_path):
+    broken = tmp_path / "broken.imog"
+    broken.write_text('model "M" {', encoding="utf-8")
     code, out, err = invoke("vars", ESCOOTER, "--select", "F_swap=maybe")
     assert (code, out) == (2, "")
-    assert err == "bad selection 'F_swap=maybe': expected id=in or id=out\n"
+    lines = err.splitlines()
+    assert lines[0] == (
+        "imog vars: error: argument --select: "
+        "bad selection 'F_swap=maybe': expected id=in or id=out"
+    )
+    assert lines[1].startswith("usage: imog vars ")
+    # a usage error comes before the file's parse diagnostics
+    assert invoke("vars", str(broken), "--select", "F_swap=maybe") == (code, out, err)
 
 
 def test_vars_dead_lists_dead_features_sorted(tmp_path):
@@ -408,6 +418,50 @@ def test_view_prints_parseable_dsl(tmp_path):
     assert result.ok
     assert "B_escooter" in result.model.elements
     assert "B_motor" not in result.model.elements
+
+
+def test_out_through_a_symlink_writes_its_target_and_keeps_its_mode(tmp_path):
+    target = tmp_path / "view.imog"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.imog"
+    link.symlink_to(target.name)
+    code, out, err = invoke("export", ESCOOTER, "--graph", "--out", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text(encoding="utf-8").startswith("digraph")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_failed_out_write_leaves_the_file_and_no_temporary_file(tmp_path, monkeypatch):
+    target = tmp_path / "view.imog"
+    target.write_bytes(b"old view\n")
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device", src)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for argv in (
+        ("view", ESCOOTER, "--levels", "context", "--perspectives", "structural"),
+        ("export", ESCOOTER, "--roadmap"),
+    ):
+        code, out, err = invoke(*argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"imog: [Errno 28] No space left on device: {str(target)!r}\n"
+        assert target.read_bytes() == b"old view\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["view.imog"]
+
+
+def test_a_write_into_a_missing_directory_names_the_path(tmp_path):
+    # not the temporary file, whose random name made the line differ per run
+    target = tmp_path / "missing" / "out"
+    for argv in (
+        ("export", ESCOOTER, "--graph", "--out", str(target)),
+        ("kb", "--store", str(target), "extract", ESCOOTER, "B_motor"),
+    ):
+        code, out, err = invoke(*argv, env={"SOURCE_DATE_EPOCH": "1750000000"})
+        assert (code, out) == (2, "")
+        assert err == f"imog: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 def test_export_graph_reqtable_roadmap(tmp_path):

@@ -5,14 +5,19 @@ from __future__ import annotations
 import os
 import random
 import re
+import shutil
 import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 import imog
 import knowledge_reference
 from conftest import FIXTURES, GOLDEN, golden_text, parse_fixture
-from imog import knowledge
+from imog import cli, knowledge
 from imog.errors import (
     ImogError,
     KindNotExtractableError,
@@ -394,6 +399,123 @@ def test_one_line_with_twenty_thousand_properties(tmp_path):
     assert entry.properties == tuple(Property(f"p{i}", i, "kg") for i in range(20000))
 
 
+# --- the slot: a store text this process read or wrote is parsed once ---
+
+
+def test_a_store_rewritten_with_the_same_size_and_mtime_is_read_afresh(tmp_path):
+    store = tmp_path / "kb.imogkb"
+    knowledge.save(store, [KnowledgeEntry("K", "aaa", "t", 2024, (), ("m", TS))])
+    assert knowledge.load(store)[0].name == "aaa"
+    before = store.stat()
+    store.write_text(store.read_text(encoding="utf-8").replace("aaa", "bbb"), encoding="utf-8")
+    os.utime(store, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = store.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert knowledge.load(store)[0].name == "bbb"
+
+
+def test_corrupt_text_after_a_kept_store_raises_every_time(kb_store):
+    good = kb_store.read_text(encoding="utf-8")
+    knowledge.load(kb_store)
+    kb_store.write_text((FIXTURES / "kb_corrupt.imogkb").read_text(encoding="utf-8"))
+    want = _outcome(knowledge_reference.load, kb_store)
+    assert want[0] == 3
+    for _ in range(2):
+        with pytest.raises(StoreCorruptError) as exc:
+            knowledge.load(kb_store)
+        assert (exc.value.path, exc.value.line_no, exc.value.reason) == (str(kb_store), *want)
+    kb_store.write_text(good)
+    assert knowledge.load(kb_store) == knowledge_reference.load(kb_store)
+
+
+def test_mutating_a_loaded_list_leaves_the_next_load_alone(kb_store):
+    first = knowledge.load(kb_store)
+    want = list(first)
+    first.clear()
+    assert knowledge.load(kb_store) == want
+
+
+def test_a_saved_entry_loads_as_its_line_reads(tmp_path):
+    # 2.0 is written `2kg`, which reads back as the int 2
+    store = tmp_path / "kb.imogkb"
+    entry = KnowledgeEntry("K", "k", "t", 2024, (Property("m", 2.0, "kg"),), ("m", TS))
+    knowledge.save(store, [entry])
+    (loaded,) = knowledge.load(store)
+    assert repr(loaded) == repr(knowledge_reference.load(store)[0])
+    assert type(loaded.properties[0].value) is int
+
+
+def test_threads_loading_their_own_stores_get_their_own_entries(tmp_path):
+    stores = []
+    for t in range(4):
+        store = tmp_path / f"kb{t}.imogkb"
+        ids = [f"K{t}_{i:02}" for i in range(30)]
+        knowledge.save(store, [KnowledgeEntry(k, "k", "t", 2024, (), ("m", TS)) for k in ids])
+        stores.append((store, ids))
+    wrong = []
+
+    def load_often(store, ids):
+        for _ in range(300):
+            got = [e.id for e in knowledge.load(store)]
+            if got != ids:
+                wrong.append((store.name, got[:2]))
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load_often, args=s) for s in stores]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+_BY_HAND = (
+    "# kept by hand\r\n"
+    'entry K_b year=2025  type=sensor name="B\\qee" prop.m=5.50kg prop.w=2.0kg provenance="m@t"\r\n'
+    "\r\n"
+    '  entry K_a name="A" type=t year=2024 prop.s="x\\"y" provenance="m@t" \r\n'
+)
+
+
+def _extract_in_a_fresh_process(store, *ids) -> None:
+    package_root = str(Path(imog.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "imog", "kb", "--store", str(store), "extract",
+         str(FIXTURES / "escooter.imog"), *ids],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": package_root, "SOURCE_DATE_EPOCH": "1767225600"},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_store_written_by_hand_is_saved_as_a_fresh_process_saves_it(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1767225600")  # 2026-01-01T00:00:00Z
+    store, twin = tmp_path / "kb.imogkb", tmp_path / "twin.imogkb"
+    store.write_bytes(_BY_HAND.encode("utf-8"))
+    knowledge.save(store, [])
+    assert store.read_bytes() == (
+        b'entry K_a name="A" type=t year=2024 prop.s="x\\"y" provenance="m@t"\n'
+        b'entry K_b name="Bqee" type=sensor year=2025 prop.m=5.5kg prop.w=2kg provenance="m@t"\n'
+    )
+    # 2.0 was read as a float, and its line `2kg` reads as the int 2
+    assert repr(knowledge.load(store)) == repr(knowledge_reference.load(store))
+    # the first extract formats the loaded entries again, the second
+    # reuses the lines the first wrote
+    for ids in (["B_motor"], ["V_liion48", "V_leadacid12"]):
+        shutil.copyfile(store, twin)
+        knowledge.load(store)
+        code = cli.run(["kb", "--store", str(store), "extract", str(FIXTURES / "escooter.imog"), *ids])
+        assert code == 0
+        _extract_in_a_fresh_process(twin, *ids)
+        assert store.read_bytes() == twin.read_bytes()
+
+
 # --- differential tests against the reference store reader ---
 
 _NAME_CHARS = 'ab Z_09@"\\\n\t#=é.'
@@ -527,10 +649,20 @@ def test_whole_stores_match_reference(tmp_path):
         stores.append(rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["", "\n"]))
     for text in stores:
         store.write_bytes(text.encode("utf-8"))
-        _assert_same(
-            _outcome(knowledge.load, store),
-            _outcome(knowledge_reference.load, store),
-            text,
+        want = _outcome(knowledge_reference.load, store)
+        for _ in range(2):  # the second load finds the text in the slot
+            _assert_same(_outcome(knowledge.load, store), want, text)
+
+
+def test_saved_stores_match_reference(tmp_path):
+    rng = random.Random(6010)
+    store = tmp_path / "kb.imogkb"
+    for _ in range(60):
+        knowledge.save(store, [_random_entry(rng, rng.randint(0, 40)) for _ in range(rng.randint(0, 3))])
+        want = knowledge_reference.load(store)
+        assert repr(knowledge.load(store)) == repr(want)
+        assert store.read_text(encoding="utf-8") == "".join(
+            knowledge.format_entry(e) + "\n" for e in want
         )
 
 
