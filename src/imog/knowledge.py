@@ -302,6 +302,8 @@ def _parse_fields(path: str, line_no: int, line: str) -> KnowledgeEntry:
 
 # The last store text this process read or wrote; see `load`. Replaced
 # whole, never changed in place, so threads that read it at once stay safe.
+# It pays off only for a caller that runs several store commands on one
+# store in one process; the `imog` command reads a store once per run.
 _slot = _EMPTY = ("", (), {}, {})
 
 
@@ -405,21 +407,28 @@ def save(store: str | Path, entries: list[KnowledgeEntry]) -> int:
 def replace_file(path: str | Path, text: str) -> None:
     """Write `text` to `path` whole, or leave the file as it was.
 
-    A temporary file beside the file that a symlinked `path` points to
-    replaces that file (`os.replace`) and takes its mode; a new file gets
-    the mode `open()` gives (0o666 less the umask). Nothing is fsynced.
-    A failure removes the temporary file, and its error names `path`.
+    A regular file, or a path that does not exist yet, is written as a
+    temporary file beside the file that a symlinked `path` points to,
+    which then replaces that file (`os.replace`) and takes its mode; a new
+    file gets the mode `open()` gives (0o666 less the umask). Nothing is
+    fsynced. A failure removes the temporary file, and its error names
+    `path`. Anything else, such as a FIFO, `/dev/null` or `/dev/stdout`,
+    cannot be replaced and is written in place.
     """
-    target = os.path.realpath(path)
     try:
-        mode: int | None = stat.S_IMODE(os.stat(target).st_mode)
+        mode: int | None = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
     tmp_name = f"{target}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp_name, "x", encoding="utf-8") as fh:
             if mode is not None:
-                os.chmod(tmp_name, mode)
+                os.chmod(tmp_name, stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp_name, target)
     except BaseException as exc:

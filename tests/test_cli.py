@@ -9,6 +9,7 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,26 @@ def test_failed_out_write_leaves_the_file_and_no_temporary_file(tmp_path, monkey
         assert err == f"imog: [Errno 28] No space left on device: {str(target)!r}\n"
         assert target.read_bytes() == b"old view\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["view.imog"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_into_a_fifo_writes_through_it_and_keeps_it(tmp_path):
+    fifo = tmp_path / "view.fifo"
+    os.mkfifo(fifo)
+    for argv in (
+        ("view", ESCOOTER, "--levels", "context", "--perspectives", "structural"),
+        ("export", ESCOOTER, "--roadmap"),
+    ):
+        _code, want, _err = invoke(*argv)
+        got: list[str] = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        code, out, err = invoke(*argv, "--out", str(fifo))
+        reader.join(timeout=10)
+        assert (code, out, err) == (0, "", "")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert got == [want]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["view.fifo"]
 
 
 def test_a_write_into_a_missing_directory_names_the_path(tmp_path):
